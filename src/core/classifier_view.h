@@ -147,6 +147,18 @@ class ClassificationView {
     return false;
   }
 
+  /// Per-label entity counts read off the architecture's materialized
+  /// labels, when it keeps them current (eager main-memory views); false
+  /// otherwise. Valid at a batch boundary, where they equal the counts of
+  /// sign(w·f − b) under model(). Const, stats-free and I/O-free: the engine
+  /// calls it on every epoch publish (core/epoch.h).
+  virtual bool MaterializedCounts(uint64_t* positives,
+                                  uint64_t* negatives) const {
+    (void)positives;
+    (void)negatives;
+    return false;
+  }
+
   /// The current model (reflects every Update so far).
   virtual const ml::LinearModel& model() const = 0;
 

@@ -75,6 +75,13 @@ StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
 }
 
 StatusOr<uint64_t> EpochSnapshot::AllMembersCount(int label) const {
+  if (counts_.has_value() && (label == 1 || label == -1)) {
+    return label == 1 ? counts_->positives : counts_->negatives;
+  }
+  return ScanCount(label);
+}
+
+StatusOr<uint64_t> EpochSnapshot::ScanCount(int label) const {
   uint64_t n = 0;
   std::vector<int8_t> labels;
   for (const auto& chunk : store_->chunks()) {
@@ -159,10 +166,11 @@ void EpochManager::SetMetricLabels(const std::string& labels) {
 }
 
 std::shared_ptr<const EpochSnapshot> EpochManager::Publish(
-    ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store) {
+    ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store,
+    std::optional<LabelCounts> counts) {
   MutexLock lock(mu_);
   auto snap = std::make_shared<const EpochSnapshot>(
-      next_epoch_++, std::move(model), std::move(store));
+      next_epoch_++, std::move(model), std::move(store), counts);
   ring_.push_back(snap);
   std::atomic_store_explicit(&latest_, snap, std::memory_order_release);
   if (published_gauge_ != nullptr) {

@@ -3,11 +3,17 @@
 // label(id) = sign(w·f(id) − b) with the paper's sign(0) = +1 convention —
 // the water-line bounds guarantee the eager architectures' materialized
 // labels agree with the current model, and the lazy architectures compute
-// exactly this at read time. That makes an architecture-independent
-// snapshot possible: an immutable LinearModel copy plus a shared immutable
-// entity store answers Single Entity / All Members / count queries
-// bit-identically to the live view, without touching any of its mutable
-// state (heap pages, B+-tree, water lines, ε-map).
+// exactly this at read time. An epoch is therefore an immutable LinearModel
+// copy plus a shared immutable entity store, which answers Single Entity and
+// All Members reads by scoring entities under the copied model, without
+// touching any of the live view's mutable state (heap pages, B+-tree, water
+// lines, ε-map).
+//
+// Views that keep their labels materialized (eager main-memory
+// architectures, ClassificationView::MaterializedCounts) also publish their
+// per-label counts with each epoch, read at the same batch boundary as the
+// model; COUNT on such an epoch is O(1) and scores nothing. Every other
+// view's count is a scan of the store.
 //
 // Writers publish a new EpochSnapshot at batch boundaries (the natural Hazy
 // granularity — model and water state are per-epoch immutable). Readers pin
@@ -16,12 +22,12 @@
 // Retired epochs are reclaimed once their pin count drains.
 //
 // Entity payloads are shared across epochs through sealed chunks: an
-// update-only batch publishes in O(d) (one model copy); a batch that
-// appended entities seals those appends into one new chunk and reuses every
-// earlier chunk. The entity store is an in-memory copy of the view's
-// entity set — deliberate memory-for-concurrency trade (the on-disk
-// architectures' heap pages mutate in place and cannot be shared with
-// lock-free readers).
+// update-only batch publishes in O(d) (one model copy, plus the view's count
+// pass where it publishes counts); a batch that appended entities seals
+// those appends into one new chunk and reuses every earlier chunk. The
+// entity store is an in-memory copy of the view's entity set — deliberate
+// memory-for-concurrency trade (the on-disk architectures' heap pages mutate
+// in place and cannot be shared with lock-free readers).
 
 #ifndef HAZY_CORE_EPOCH_H_
 #define HAZY_CORE_EPOCH_H_
@@ -29,6 +35,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -72,18 +79,32 @@ class EpochEntityStore {
   size_t size_ = 0;
 };
 
-/// \brief A published read epoch: model copy + shared entity store. All
-/// methods are const and safe for any number of concurrent readers.
+/// \brief Per-label entity counts a view materializes
+/// (ClassificationView::MaterializedCounts), published with an epoch.
+struct LabelCounts {
+  uint64_t positives = 0;
+  uint64_t negatives = 0;
+};
+
+/// \brief A published read epoch: model copy + shared entity store, plus the
+/// view's per-label counts when it materializes them. All methods are const
+/// and safe for any number of concurrent readers.
 class EpochSnapshot {
  public:
   EpochSnapshot(uint64_t epoch, ml::LinearModel model,
-                std::shared_ptr<const EpochEntityStore> store)
-      : epoch_(epoch), model_(std::move(model)), store_(std::move(store)) {}
+                std::shared_ptr<const EpochEntityStore> store,
+                std::optional<LabelCounts> counts = std::nullopt)
+      : epoch_(epoch),
+        model_(std::move(model)),
+        store_(std::move(store)),
+        counts_(counts) {}
 
   uint64_t epoch() const { return epoch_; }
   const ml::LinearModel& model() const { return model_; }
   size_t num_entities() const { return store_->size(); }
   const EpochEntityStore& store() const { return *store_; }
+  /// True when AllMembersCount answers from published counts, not a scan.
+  bool has_counts() const { return counts_.has_value(); }
 
   /// Label of one entity under this epoch's model (NotFound if absent).
   StatusOr<int> SingleEntityRead(int64_t id) const;
@@ -92,8 +113,13 @@ class EpochSnapshot {
   /// chunks through the scan-pipeline SIMD strips.
   StatusOr<std::vector<int64_t>> AllMembers(int label) const;
 
-  /// Count of entities labeled `label`.
+  /// Count of entities labeled `label`: the published count when the view
+  /// materialized one (O(1)), otherwise ScanCount.
   StatusOr<uint64_t> AllMembersCount(int label) const;
+
+  /// Count of entities labeled `label`, scoring every entity under this
+  /// epoch's model whatever was published.
+  StatusOr<uint64_t> ScanCount(int label) const;
 
   uint64_t pins() const { return pins_.load(std::memory_order_relaxed); }
 
@@ -103,6 +129,7 @@ class EpochSnapshot {
   uint64_t epoch_;
   ml::LinearModel model_;
   std::shared_ptr<const EpochEntityStore> store_;
+  std::optional<LabelCounts> counts_;
   mutable std::atomic<uint64_t> pins_{0};
 };
 
@@ -174,10 +201,12 @@ class EpochManager {
   /// the hazy_epoch_* instruments. Call before the first Publish.
   void SetMetricLabels(const std::string& labels);
 
-  /// Publishes the next epoch. Returns the published snapshot.
+  /// Publishes the next epoch, with the view's per-label counts when it
+  /// materializes them (they must describe exactly `model` over `store`).
+  /// Returns the published snapshot.
   std::shared_ptr<const EpochSnapshot> Publish(
-      ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store)
-      EXCLUDES(mu_);
+      ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store,
+      std::optional<LabelCounts> counts = std::nullopt) EXCLUDES(mu_);
 
   /// Pins the latest published epoch (empty pin when none published yet).
   SnapshotPin Pin();

@@ -12,6 +12,16 @@
 
 namespace hazy::core {
 
+namespace {
+
+/// The clustering order of rows_: stored eps, ties broken by id.
+bool KeyLess(double a_eps, int64_t a_id, double b_eps, int64_t b_id) {
+  if (a_eps != b_eps) return a_eps < b_eps;
+  return a_id < b_id;
+}
+
+}  // namespace
+
 double HazyMMView::ComputeMaxNormQ(const std::vector<Entity>& entities) const {
   const double q = ml::HolderConjugate(options_.holder_p);
   double m = 0.0;
@@ -28,7 +38,7 @@ Status HazyMMView::BulkLoad(const std::vector<Entity>& entities) {
       return Status::AlreadyExists(StrFormat("duplicate entity id %lld",
                                              static_cast<long long>(e.id)));
     }
-    index_[e.id] = rows_.size();  // fixed up by Reorganize below
+    index_[e.id] = 0.0;  // fixed up by Reorganize below
     rows_.push_back(Row{e.id, 0.0, 1, e.features});
   }
   max_norm_q_ = ComputeMaxNormQ(entities);
@@ -52,12 +62,11 @@ void HazyMMView::Reorganize() {
     rows_[i].label = ml::SignOf(eps[i]);
   }
   std::sort(rows_.begin(), rows_.end(), [](const Row& a, const Row& b) {
-    if (a.eps != b.eps) return a.eps < b.eps;
-    return a.id < b.id;
+    return KeyLess(a.eps, a.id, b.eps, b.id);
   });
   index_.clear();
   index_.reserve(rows_.size());
-  for (size_t i = 0; i < rows_.size(); ++i) index_[rows_[i].id] = i;
+  for (const Row& r : rows_) index_[r.id] = r.eps;
   water_.Reorganize(model_);
   strategy_->OnReorganize();
   ++stats_.reorgs;
@@ -80,6 +89,17 @@ size_t HazyMMView::LowerBound(double x) const {
     }
   }
   return lo;
+}
+
+size_t HazyMMView::Locate(int64_t id) const {
+  auto it = index_.find(id);
+  if (it == index_.end()) return rows_.size();
+  const double eps = it->second;
+  auto pos = std::lower_bound(rows_.begin(), rows_.end(), id,
+                              [eps](const Row& r, int64_t key) {
+                                return KeyLess(r.eps, r.id, eps, key);
+                              });
+  return static_cast<size_t>(pos - rows_.begin());
 }
 
 size_t HazyMMView::WindowSize() const {
@@ -137,12 +157,10 @@ Status HazyMMView::AddEntity(const Entity& entity) {
 
   auto pos_it = std::lower_bound(
       rows_.begin(), rows_.end(), r, [](const Row& a, const Row& b) {
-        if (a.eps != b.eps) return a.eps < b.eps;
-        return a.id < b.id;
+        return KeyLess(a.eps, a.id, b.eps, b.id);
       });
-  size_t pos = static_cast<size_t>(pos_it - rows_.begin());
+  index_[r.id] = r.eps;
   rows_.insert(pos_it, std::move(r));
-  for (size_t i = pos; i < rows_.size(); ++i) index_[rows_[i].id] = i;
 
   if (norm > max_norm_q_) {
     // A larger M invalidates the accumulated water lines (they were built
@@ -206,11 +224,11 @@ Status HazyMMView::UpdateBatch(Span<const ml::LabeledExample> batch) {
 }
 
 StatusOr<int> HazyMMView::ReadOnlyLabel(int64_t id) const {
-  auto it = index_.find(id);
-  if (it == index_.end()) {
+  const size_t pos = Locate(id);
+  if (pos == rows_.size()) {
     return Status::NotFound(StrFormat("no entity %lld", static_cast<long long>(id)));
   }
-  const Row& r = rows_[it->second];
+  const Row& r = rows_[pos];
   if (options_.mode == Mode::kEager) return r.label;
   if (water_.CertainPositive(r.eps)) return 1;
   if (water_.CertainNegative(r.eps)) return -1;
@@ -219,11 +237,11 @@ StatusOr<int> HazyMMView::ReadOnlyLabel(int64_t id) const {
 
 StatusOr<int> HazyMMView::SingleEntityRead(int64_t id) {
   ++stats_.single_reads;
-  auto it = index_.find(id);
-  if (it == index_.end()) {
+  const size_t pos = Locate(id);
+  if (pos == rows_.size()) {
     return Status::NotFound(StrFormat("no entity %lld", static_cast<long long>(id)));
   }
-  const Row& r = rows_[it->second];
+  const Row& r = rows_[pos];
   if (options_.mode == Mode::kEager) {
     ++stats_.reads_from_store;
     return r.label;
@@ -320,19 +338,29 @@ StatusOr<uint64_t> HazyMMView::AllMembersCount(int label) {
   if (options_.mode == Mode::kLazy) {
     return LazyMembersScan(label, [](int64_t) {});
   }
+  uint64_t positives = 0, negatives = 0;
+  stats_.tuples_scanned += CountEagerLabels(&positives, &negatives);
+  return label == -1 ? negatives : positives;
+}
+
+size_t HazyMMView::CountEagerLabels(uint64_t* positives,
+                                    uint64_t* negatives) const {
   const size_t lo = LowerBound(water_.low_water());
   const size_t hi = LowerBound(water_.high_water());
-  uint64_t count = 0;
+  uint64_t window_positives = 0;
   for (size_t i = lo; i < hi; ++i) {
-    if (rows_[i].label == label) ++count;
+    if (rows_[i].label == 1) ++window_positives;
   }
-  stats_.tuples_scanned += hi - lo;
-  if (label == -1) {
-    count += lo;
-  } else {
-    count += rows_.size() - hi;
-  }
-  return count;
+  *positives = window_positives + (rows_.size() - hi);
+  *negatives = (hi - lo - window_positives) + lo;
+  return hi - lo;
+}
+
+bool HazyMMView::MaterializedCounts(uint64_t* positives,
+                                    uint64_t* negatives) const {
+  if (options_.mode != Mode::kEager) return false;
+  CountEagerLabels(positives, negatives);
+  return true;
 }
 
 StatusOr<std::vector<int64_t>> HazyMMView::TopUncertain(size_t k) {
@@ -432,7 +460,7 @@ Status HazyMMView::LoadState(persist::StateReader* r) {
     HAZY_RETURN_NOT_OK(r->GetI32(&label));
     row.label = label;
     HAZY_RETURN_NOT_OK(r->GetFeatureVector(&row.features));
-    index_[row.id] = rows_.size();
+    index_[row.id] = row.eps;
     rows_.push_back(std::move(row));
   }
   HAZY_RETURN_NOT_OK(water_.LoadState(r));
@@ -443,7 +471,7 @@ Status HazyMMView::LoadState(persist::StateReader* r) {
 
 size_t HazyMMView::MemoryBytes() const {
   size_t b = rows_.capacity() * sizeof(Row) +
-             index_.size() * (sizeof(int64_t) + sizeof(size_t) + 2 * sizeof(void*));
+             index_.size() * (sizeof(int64_t) + sizeof(double) + 2 * sizeof(void*));
   for (const auto& r : rows_) b += r.features.ApproxBytes() - sizeof(ml::FeatureVector);
   return b;
 }

@@ -52,6 +52,11 @@ class HazyMMView : public ViewBase {
     return true;
   }
 
+  /// Eager mode: O(window) — rows below lw are certainly negative, rows at
+  /// or above hw certainly positive, and the window's labels are current.
+  bool MaterializedCounts(uint64_t* positives,
+                          uint64_t* negatives) const override;
+
   /// Number of tuples currently inside [lw, hw) — the Fig 13 series.
   size_t WindowSize() const;
 
@@ -91,6 +96,14 @@ class HazyMMView : public ViewBase {
   /// Index of the first row with eps >= x.
   size_t LowerBound(double x) const;
 
+  /// Position of entity `id` in rows_ (binary search on the (eps, id)
+  /// clustering key), or rows_.size() when absent.
+  size_t Locate(int64_t id) const;
+
+  /// Eager label counts: the materialized labels of the window [lw, hw)
+  /// plus the certain regions on either side. Returns the window size.
+  size_t CountEagerLabels(uint64_t* positives, uint64_t* negatives) const;
+
   /// Walks the window [lw, hw), reclassifying with the current model.
   /// Returns the number of tuples inspected.
   size_t IncrementalStep();
@@ -107,7 +120,9 @@ class HazyMMView : public ViewBase {
   double ComputeMaxNormQ(const std::vector<Entity>& entities) const;
 
   std::vector<Row> rows_;
-  std::unordered_map<int64_t, size_t> index_;
+  /// id -> stored eps. With the id it is the row's clustering key, so an
+  /// insert shifts rows_ without rewriting any entry.
+  std::unordered_map<int64_t, double> index_;
   WaterLineTracker water_;
   std::unique_ptr<MaintenanceStrategy> strategy_;
   double reorg_cost_ = 0.0;  // S

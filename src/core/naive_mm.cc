@@ -116,9 +116,9 @@ StatusOr<uint64_t> NaiveMMView::AllMembersCount(int label) {
   ++stats_.all_members_queries;
   uint64_t n = 0;
   if (options_.mode == Mode::kEager) {
-    for (const auto& r : rows_) {
-      if (r.label == label) ++n;
-    }
+    uint64_t positives = 0, negatives = 0;
+    MaterializedCounts(&positives, &negatives);
+    n = label == -1 ? negatives : positives;
   } else {
     obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
     std::vector<int8_t> labels;
@@ -129,6 +129,18 @@ StatusOr<uint64_t> NaiveMMView::AllMembersCount(int label) {
   }
   stats_.tuples_scanned += rows_.size();
   return n;
+}
+
+bool NaiveMMView::MaterializedCounts(uint64_t* positives,
+                                     uint64_t* negatives) const {
+  if (options_.mode != Mode::kEager) return false;
+  uint64_t pos = 0;
+  for (const auto& r : rows_) {
+    if (r.label == 1) ++pos;
+  }
+  *positives = pos;
+  *negatives = rows_.size() - pos;
+  return true;
 }
 
 namespace {

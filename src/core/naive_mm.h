@@ -26,6 +26,9 @@ class NaiveMMView : public ViewBase {
   StatusOr<int> SingleEntityRead(int64_t id) override;
   StatusOr<std::vector<int64_t>> AllMembers(int label) override;
   StatusOr<uint64_t> AllMembersCount(int label) override;
+  /// Eager mode: one pass over the materialized labels.
+  bool MaterializedCounts(uint64_t* positives,
+                          uint64_t* negatives) const override;
   size_t MemoryBytes() const override;
   const char* name() const override {
     return options_.mode == Mode::kEager ? "naive-mm-eager" : "naive-mm-lazy";

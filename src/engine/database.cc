@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -70,7 +71,12 @@ Status ManagedView::PublishEpoch() {
     store_builder_.ReplaceAll(std::move(ents));
     store_reset_pending_ = false;
   }
-  epochs_.Publish(view_->model(), store_builder_.Seal());
+  // Counts and model are read at the same instant — the batch boundary,
+  // where an eager view's materialized labels equal sign(w·f − b).
+  std::optional<core::LabelCounts> counts;
+  core::LabelCounts c;
+  if (view_->MaterializedCounts(&c.positives, &c.negatives)) counts = c;
+  epochs_.Publish(view_->model(), store_builder_.Seal(), counts);
   epoch_publish_pending_ = false;
   return Status::OK();
 }

@@ -43,6 +43,10 @@ const char* SpanKindName(SpanKind k) {
       return "trigger.drain";
     case SpanKind::kLazyScan:
       return "view.lazy_scan";
+    case SpanKind::kEagerRead:
+      return "view.eager_read";
+    case SpanKind::kSnapshotScan:
+      return "snapshot.scan";
     case SpanKind::kRelabelSweep:
       return "view.relabel_sweep";
     case SpanKind::kWindowStep:

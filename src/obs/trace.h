@@ -40,6 +40,8 @@ enum class SpanKind : uint8_t {
   kExecute,         // statement body after parse
   kTriggerDrain,    // draining queued view maintenance triggers
   kLazyScan,        // lazy on-demand (re)scoring scan
+  kEagerRead,       // read answered from a view's materialized state
+  kSnapshotScan,    // scoring scan of a pinned epoch's entity store
   kRelabelSweep,    // eager relabel sweep between water lines
   kWindowStep,      // per-batch incremental window step (classify/relabel rids)
   kWalAppend,       // WAL record append (buffered)

@@ -503,9 +503,13 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     }
     const std::string& label = std::get<std::string>(stmt.where->value);
     HAZY_ASSIGN_OR_RETURN(int member_sign, view->LabelSign(label));
-    obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
     ++vstats->all_members_queries;
-    vstats->tuples_scanned += snap.num_entities();
+    // A COUNT on an epoch that carries the view's materialized counts
+    // scores nothing; every other read scores the whole store.
+    const bool from_counts = stmt.count_star && snap.has_counts();
+    obs::TraceScope read_span(from_counts ? obs::SpanKind::kEagerRead
+                                          : obs::SpanKind::kSnapshotScan);
+    if (!from_counts) vstats->tuples_scanned += snap.num_entities();
     if (stmt.count_star) {
       HAZY_ASSIGN_OR_RETURN(uint64_t n, snap.AllMembersCount(member_sign));
       rs.columns = {{"count", storage::ColumnType::kInt64}};
@@ -521,8 +525,14 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
       }
     }
   } else if (!stmt.where.has_value()) {
+    if (stmt.count_star) {
+      // Every entity has exactly one label: the count is the epoch's size.
+      rs.columns = {{"count", storage::ColumnType::kInt64}};
+      rs.rows.push_back(Row{static_cast<int64_t>(snap.num_entities())});
+      return rs;
+    }
     // Full view scan: both classes.
-    obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
+    obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
     std::vector<std::pair<int64_t, std::string>> all;
     for (int sign : {1, -1}) {
       ++vstats->all_members_queries;
@@ -531,11 +541,6 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
       for (int64_t id : ids) all.emplace_back(id, view->LabelString(sign));
     }
     std::sort(all.begin(), all.end());
-    if (stmt.count_star) {
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
-      return rs;
-    }
     for (const auto& [id, label] : all) {
       emit(id, label);
       if (stmt.limit.has_value() &&

@@ -8,13 +8,17 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "engine/database.h"
 #include "persist/checkpoint.h"
 #include "sql/executor.h"
@@ -427,6 +431,258 @@ TEST(SnapshotVacuumRaceTest, ReadersRacingVacuumNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Architectures, EngineSnapshotTest,
                          ::testing::ValuesIn(kArchModes),
+                         [](const ::testing::TestParamInfo<ArchMode>& info) {
+                           return std::string(info.param.name);
+                         });
+
+// Differential test of every COUNT path on the main-memory architectures,
+// whose eager mode publishes its materialized per-label counts with each
+// epoch. A seeded stream of example and entity INSERTs (single rows and
+// multi-row batches), an entity whose larger norm forces a reorganization,
+// an example DELETE (retrain from scratch), CHECKPOINT + reopen and a plain
+// reopen (WAL replay) runs over dense feature vectors; at every batch
+// boundary the SQL COUNT, the pinned epoch's AllMembersCount, a forced full
+// scan of that same epoch, the view's own CountOf and a naive
+// sign(w·f − b) oracle (sign(0) = +1) must all agree for both labels.
+class CountDifferentialTest : public ::testing::TestWithParam<ArchMode> {
+ protected:
+  static constexpr int kDim = 6;
+  static constexpr int64_t kInitialEntities = 300;
+
+  void SetUp() override {
+    path_ = ::testing::TempDir() + "hazy_count_diff_" + GetParam().name + ".db";
+    RemoveFiles();
+    options_.path = path_;
+    // Deterministic Skiing decisions: the work is a function of the seed.
+    options_.view_defaults.cost_model = core::CostModel::kTupleCount;
+    Reopen();
+  }
+
+  void TearDown() override {
+    exec_.reset();
+    db_.reset();
+    RemoveFiles();
+  }
+
+  void RemoveFiles() {
+    ::unlink(path_.c_str());
+    ::unlink((path_ + "-wal").c_str());
+  }
+
+  void Reopen() {
+    exec_.reset();
+    db_.reset();
+    db_ = std::make_unique<Database>(options_);
+    ASSERT_TRUE(db_->Open().ok());
+    exec_ = std::make_unique<sql::Executor>(db_.get());
+  }
+
+  sql::ResultSet MustExec(const std::string& sql) {
+    auto rs = exec_->Execute(sql);
+    EXPECT_TRUE(rs.ok()) << sql << " -> " << rs.status().ToString();
+    return rs.ok() ? *rs : sql::ResultSet{};
+  }
+
+  /// A `(id, 'x1 x2 ...')` VALUES tuple with components in [-scale, scale].
+  std::string EntityTuple(int64_t id, double scale) {
+    std::uniform_real_distribution<double> component(-scale, scale);
+    std::string vec;
+    for (int k = 0; k < kDim; ++k) {
+      if (k > 0) vec.push_back(' ');
+      vec += StrFormat("%.6f", component(rng_));
+    }
+    return StrFormat("(%lld, '%s')", static_cast<long long>(id), vec.c_str());
+  }
+
+  /// An example tuple for entity `id`, labeled by a fixed hidden hyperplane
+  /// over its stored vector with some label noise.
+  std::string ExampleTuple(int64_t id) {
+    auto row = MustExec(StrFormat("SELECT vec FROM E WHERE id = %lld",
+                                  static_cast<long long>(id)));
+    EXPECT_EQ(row.rows.size(), 1u);
+    auto text = row.TextAt(0, 0);
+    EXPECT_TRUE(text.ok());
+    const double hidden[kDim] = {0.9, -0.7, 0.4, 0.1, -0.3, 0.6};
+    double dot = 0.0;
+    const char* p = text.ok() ? text->c_str() : "";
+    for (int k = 0; k < kDim; ++k) {
+      char* end = nullptr;
+      dot += hidden[k] * std::strtod(p, &end);
+      p = end;
+    }
+    bool positive = dot >= 0.0;
+    if (std::uniform_int_distribution<int>(0, 9)(rng_) == 0) positive = !positive;
+    return StrFormat("(%lld, '%s')", static_cast<long long>(id),
+                     positive ? "POS" : "NEG");
+  }
+
+  /// Asserts every COUNT path agrees at the current batch boundary.
+  void CheckCounts(const std::string& step) {
+    SCOPED_TRACE(step);
+    auto got = db_->GetView("V");
+    ASSERT_TRUE(got.ok());
+    ManagedView* view = *got;
+    core::SnapshotPin pin = view->PinSnapshot();
+    ASSERT_TRUE(pin);
+    // Eager main-memory views publish counts; lazy ones leave COUNT a scan.
+    EXPECT_EQ(pin->has_counts(), GetParam().mode == core::Mode::kEager);
+    EXPECT_EQ(pin->num_entities(), static_cast<size_t>(entities_));
+
+    // The naive oracle: score every entity of the epoch under the live model.
+    const ml::LinearModel& model = view->view()->model();
+    uint64_t oracle_positives = 0;
+    for (const auto& chunk : pin->store().chunks()) {
+      for (const auto& e : chunk->rows) {
+        if (e.features.Dot(model.w) - model.b >= 0.0) ++oracle_positives;
+      }
+    }
+    const uint64_t oracle[2] = {oracle_positives,
+                                pin->num_entities() - oracle_positives};
+
+    uint64_t total = 0;
+    for (int i = 0; i < 2; ++i) {
+      const int sign = i == 0 ? 1 : -1;
+      const std::string& label = view->LabelString(sign);
+      auto rs = MustExec("SELECT COUNT(*) FROM V WHERE class = '" + label + "'");
+      ASSERT_EQ(rs.rows.size(), 1u);
+      auto sql_count = rs.Int64At(0, 0);
+      auto published = pin->AllMembersCount(sign);
+      auto scanned = pin->ScanCount(sign);
+      auto api = view->CountOf(label);
+      ASSERT_TRUE(sql_count.ok() && published.ok() && scanned.ok() && api.ok());
+      EXPECT_EQ(static_cast<uint64_t>(*sql_count), oracle[i]) << label;
+      EXPECT_EQ(*published, oracle[i]) << label;
+      EXPECT_EQ(*scanned, oracle[i]) << label;
+      EXPECT_EQ(*api, oracle[i]) << label;
+      total += *published;
+    }
+    EXPECT_EQ(total, pin->num_entities());
+    // Nothing above published: the SQL COUNTs read the pinned epoch.
+    EXPECT_EQ(view->epochs().latest_epoch(), pin->epoch());
+  }
+
+  uint64_t Reorgs() {
+    auto view = db_->GetView("V");
+    EXPECT_TRUE(view.ok());
+    return view.ok() ? (*view)->view()->stats().reorgs.load() : 0;
+  }
+
+  std::string path_;
+  DatabaseOptions options_;
+  std::unique_ptr<Database> db_;
+  std::unique_ptr<sql::Executor> exec_;
+  std::mt19937_64 rng_{20111031};
+  int64_t entities_ = 0;
+};
+
+TEST_P(CountDifferentialTest, EveryCountPathMatchesOracleAtEveryBoundary) {
+  MustExec("CREATE TABLE E (id INT PRIMARY KEY, vec TEXT)");
+  MustExec("CREATE TABLE L (label TEXT)");
+  MustExec("INSERT INTO L VALUES ('POS'), ('NEG')");
+  MustExec("CREATE TABLE X (id INT PRIMARY KEY, label TEXT)");
+  std::string load = "INSERT INTO E VALUES ";
+  for (int64_t id = 0; id < kInitialEntities; ++id) {
+    if (id > 0) load += ", ";
+    load += EntityTuple(id, 1.0 / kDim);
+  }
+  MustExec(load);
+  entities_ = kInitialEntities;
+
+  ClassificationViewDef def;
+  def.view_name = "V";
+  def.entity_table = "E";
+  def.entity_key = "id";
+  def.entity_text_columns = {"vec"};
+  def.label_table = "L";
+  def.label_column = "label";
+  def.example_table = "X";
+  def.example_key = "id";
+  def.example_label = "label";
+  def.feature_function = "dense_vector";
+  def.method_specified = true;
+  def.architecture = GetParam().arch;
+  def.mode = GetParam().mode;
+  ASSERT_TRUE(db_->CreateClassificationView(def).ok());
+  CheckCounts("create");
+
+  // Examples label a shuffled prefix of the initial entities.
+  std::vector<int64_t> unlabeled;
+  for (int64_t id = 0; id < kInitialEntities; ++id) unlabeled.push_back(id);
+  std::shuffle(unlabeled.begin(), unlabeled.end(), rng_);
+  std::vector<int64_t> labeled;
+  auto next_example = [&] {
+    const int64_t id = unlabeled.back();
+    unlabeled.pop_back();
+    labeled.push_back(id);
+    return ExampleTuple(id);
+  };
+
+  for (int step = 0; step < 80; ++step) {
+    const std::string name = StrFormat("step %d", step);
+    if (step == 30) {
+      // A larger norm than any loaded entity raises M: Hazy-MM must
+      // reorganize to keep its water lines sound.
+      const uint64_t reorgs = Reorgs();
+      MustExec("INSERT INTO E VALUES " + EntityTuple(entities_++, 3.0));
+      if (GetParam().arch == core::Architecture::kHazyMM) {
+        EXPECT_GT(Reorgs(), reorgs) << "the large-norm entity did not reorganize";
+      }
+    } else if (step == 45) {
+      // Deleting an example retrains the view from scratch.
+      MustExec(StrFormat("DELETE FROM X WHERE id = %lld",
+                         static_cast<long long>(labeled.front())));
+      labeled.erase(labeled.begin());
+    } else if (step == 55) {
+      MustExec("CHECKPOINT");
+      Reopen();
+    } else if (step == 70) {
+      // Recovery replays the WAL written since the checkpoint.
+      Reopen();
+    } else {
+      switch (std::uniform_int_distribution<int>(0, 5)(rng_)) {
+        case 0:
+        case 1:
+          MustExec("INSERT INTO X VALUES " + next_example());
+          break;
+        case 2: {
+          std::string batch = "INSERT INTO X VALUES ";
+          const int rows = std::uniform_int_distribution<int>(2, 8)(rng_);
+          for (int r = 0; r < rows; ++r) {
+            if (r > 0) batch += ", ";
+            batch += next_example();
+          }
+          MustExec(batch);
+          break;
+        }
+        case 3:
+          MustExec("INSERT INTO E VALUES " + EntityTuple(entities_++, 1.0 / kDim));
+          break;
+        case 4: {
+          std::string batch = "INSERT INTO E VALUES ";
+          batch += EntityTuple(entities_++, 1.0 / kDim) + ", ";
+          batch += EntityTuple(entities_++, 1.0 / kDim);
+          MustExec(batch);
+          break;
+        }
+        default:
+          MustExec("INSERT INTO X VALUES " + next_example());
+          break;
+      }
+    }
+    CheckCounts(name);
+    if (HasFatalFailure()) return;
+  }
+}
+
+constexpr ArchMode kMainMemoryArchModes[] = {
+    {core::Architecture::kNaiveMM, core::Mode::kEager, "NaiveMMEager"},
+    {core::Architecture::kNaiveMM, core::Mode::kLazy, "NaiveMMLazy"},
+    {core::Architecture::kHazyMM, core::Mode::kEager, "HazyMMEager"},
+    {core::Architecture::kHazyMM, core::Mode::kLazy, "HazyMMLazy"},
+};
+
+INSTANTIATE_TEST_SUITE_P(MainMemory, CountDifferentialTest,
+                         ::testing::ValuesIn(kMainMemoryArchModes),
                          [](const ::testing::TestParamInfo<ArchMode>& info) {
                            return std::string(info.param.name);
                          });
