@@ -1,8 +1,31 @@
 #include "core/classifier_view.h"
 
+#include <algorithm>
+
 #include "persist/serde.h"
 
 namespace hazy::core {
+
+uint64_t EpochLabels::Count(int label) const {
+  const uint64_t window_positives = static_cast<uint64_t>(
+      std::count(window.begin(), window.end(), int8_t{1}));
+  if (label == 1) return window_positives + (ids->size() - hi);
+  if (label == -1) return (window.size() - window_positives) + lo;
+  return 0;
+}
+
+std::vector<int64_t> EpochLabels::Members(int label) const {
+  std::vector<int64_t> out;
+  if (label != 1 && label != -1) return out;
+  out.reserve(Count(label));
+  const std::vector<int64_t>& all = *ids;
+  if (label == -1) out.insert(out.end(), all.begin(), all.begin() + lo);
+  for (size_t i = 0; i < window.size(); ++i) {
+    if (window[i] == label) out.push_back(all[lo + i]);
+  }
+  if (label == 1) out.insert(out.end(), all.begin() + hi, all.end());
+  return out;
+}
 
 namespace {
 constexpr uint32_t kViewBaseTag = persist::MakeTag('V', 'B', 'A', 'S');

@@ -42,6 +42,24 @@ struct Entity {
   ml::FeatureVector features;
 };
 
+/// \brief A view's materialized labels in its own layout order
+/// (ClassificationView::MaterializedLabels): ids[0, lo) are certainly −1,
+/// ids[hi, n) certainly +1, and window[i] is the label of ids[lo + i]. The
+/// ids array is immutable once handed out, so epochs share it until the
+/// view's layout changes.
+struct EpochLabels {
+  std::shared_ptr<const std::vector<int64_t>> ids;
+  size_t lo = 0;
+  size_t hi = 0;
+  std::vector<int8_t> window;
+
+  /// Number of entities labeled `label` (+1/-1).
+  uint64_t Count(int label) const;
+  /// Ids labeled `label`, in layout order: for +1 the window's positives
+  /// then ids[hi, n); for −1 ids[0, lo) then the window's negatives.
+  std::vector<int64_t> Members(int label) const;
+};
+
 /// Eager vs lazy maintenance (Section 2.2).
 enum class Mode { kEager, kLazy };
 
@@ -147,15 +165,13 @@ class ClassificationView {
     return false;
   }
 
-  /// Per-label entity counts read off the architecture's materialized
-  /// labels, when it keeps them current (eager main-memory views); false
-  /// otherwise. Valid at a batch boundary, where they equal the counts of
-  /// sign(w·f − b) under model(). Const, stats-free and I/O-free: the engine
-  /// calls it on every epoch publish (core/epoch.h).
-  virtual bool MaterializedCounts(uint64_t* positives,
-                                  uint64_t* negatives) const {
-    (void)positives;
-    (void)negatives;
+  /// The architecture's materialized labels, when it keeps them current
+  /// (eager main-memory views); false otherwise. Valid at a batch boundary,
+  /// where they equal sign(w·f − b) under model() for every entity. Const,
+  /// stats-free and I/O-free: the engine calls it on every epoch publish
+  /// (core/epoch.h).
+  virtual bool MaterializedLabels(EpochLabels* out) const {
+    (void)out;
     return false;
   }
 

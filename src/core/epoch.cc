@@ -48,6 +48,16 @@ const Entity* EpochEntityStore::Find(int64_t id) const {
   return nullptr;
 }
 
+EpochSnapshot::EpochSnapshot(uint64_t epoch, ml::LinearModel model,
+                             std::shared_ptr<const EpochEntityStore> store,
+                             std::optional<EpochLabels> labels)
+    : epoch_(epoch),
+      model_(std::move(model)),
+      store_(std::move(store)),
+      labels_(std::move(labels)) {
+  if (labels_.has_value()) positives_ = labels_->Count(1);
+}
+
 StatusOr<int> EpochSnapshot::SingleEntityRead(int64_t id) const {
   const Entity* e = store_->Find(id);
   if (e == nullptr) {
@@ -57,8 +67,8 @@ StatusOr<int> EpochSnapshot::SingleEntityRead(int64_t id) const {
   return model_.Classify(e->features);
 }
 
-StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
-  std::vector<int64_t> out;
+template <typename Emit>
+void EpochSnapshot::Scan(int label, Emit emit) const {
   std::vector<int8_t> labels;
   for (const auto& chunk : store_->chunks()) {
     const auto& rows = chunk->rows;
@@ -68,33 +78,26 @@ StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
         [&](size_t i) -> const ml::FeatureVector& { return rows[i].features; },
         labels.data());
     for (size_t i = 0; i < rows.size(); ++i) {
-      if (labels[i] == label) out.push_back(rows[i].id);
+      if (labels[i] == label) emit(rows[i].id);
     }
   }
+}
+
+StatusOr<std::vector<int64_t>> EpochSnapshot::AllMembers(int label) const {
+  if (labels_.has_value()) return labels_->Members(label);
+  std::vector<int64_t> out;
+  Scan(label, [&](int64_t id) { out.push_back(id); });
   return out;
 }
 
 StatusOr<uint64_t> EpochSnapshot::AllMembersCount(int label) const {
-  if (counts_.has_value() && (label == 1 || label == -1)) {
-    return label == 1 ? counts_->positives : counts_->negatives;
+  if (labels_.has_value()) {
+    if (label == 1) return positives_;
+    if (label == -1) return labels_->ids->size() - positives_;
+    return uint64_t{0};
   }
-  return ScanCount(label);
-}
-
-StatusOr<uint64_t> EpochSnapshot::ScanCount(int label) const {
   uint64_t n = 0;
-  std::vector<int8_t> labels;
-  for (const auto& chunk : store_->chunks()) {
-    const auto& rows = chunk->rows;
-    labels.resize(rows.size());
-    ClassifyRange(
-        rows.size(), model_, kMinParallelScan,
-        [&](size_t i) -> const ml::FeatureVector& { return rows[i].features; },
-        labels.data());
-    for (size_t i = 0; i < rows.size(); ++i) {
-      if (labels[i] == label) ++n;
-    }
-  }
+  Scan(label, [&](int64_t) { ++n; });
   return n;
 }
 
@@ -167,10 +170,10 @@ void EpochManager::SetMetricLabels(const std::string& labels) {
 
 std::shared_ptr<const EpochSnapshot> EpochManager::Publish(
     ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store,
-    std::optional<LabelCounts> counts) {
+    std::optional<EpochLabels> labels) {
   MutexLock lock(mu_);
   auto snap = std::make_shared<const EpochSnapshot>(
-      next_epoch_++, std::move(model), std::move(store), counts);
+      next_epoch_++, std::move(model), std::move(store), std::move(labels));
   ring_.push_back(snap);
   std::atomic_store_explicit(&latest_, snap, std::memory_order_release);
   if (published_gauge_ != nullptr) {

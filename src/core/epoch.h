@@ -10,10 +10,14 @@
 // lines, ε-map).
 //
 // Views that keep their labels materialized (eager main-memory
-// architectures, ClassificationView::MaterializedCounts) also publish their
-// per-label counts with each epoch, read at the same batch boundary as the
-// model; COUNT on such an epoch is O(1) and scores nothing. Every other
-// view's count is a scan of the store.
+// architectures, ClassificationView::MaterializedLabels) also publish those
+// labels with each epoch, read at the same batch boundary as the model: an
+// ids array in the view's layout order (shared across epochs until the
+// layout changes) plus the labels of the water window. All Members and COUNT
+// on such an epoch score nothing — COUNT is O(1), All Members
+// O(members + window) in the view's clustering order, the order
+// ManagedView::MembersOf returns (SQL promises no order without ORDER BY).
+// Every other view's All Members and COUNT scan the store.
 //
 // Writers publish a new EpochSnapshot at batch boundaries (the natural Hazy
 // granularity — model and water state are per-epoch immutable). Readers pin
@@ -22,9 +26,9 @@
 // Retired epochs are reclaimed once their pin count drains.
 //
 // Entity payloads are shared across epochs through sealed chunks: an
-// update-only batch publishes in O(d) (one model copy, plus the view's count
-// pass where it publishes counts); a batch that appended entities seals
-// those appends into one new chunk and reuses every earlier chunk. The
+// update-only batch publishes in O(d) (one model copy, plus the view's
+// window labels where it publishes labels); a batch that appended entities
+// seals those appends into one new chunk and reuses every earlier chunk. The
 // entity store is an in-memory copy of the view's entity set — deliberate
 // memory-for-concurrency trade (the on-disk architectures' heap pages mutate
 // in place and cannot be shared with lock-free readers).
@@ -79,57 +83,52 @@ class EpochEntityStore {
   size_t size_ = 0;
 };
 
-/// \brief Per-label entity counts a view materializes
-/// (ClassificationView::MaterializedCounts), published with an epoch.
-struct LabelCounts {
-  uint64_t positives = 0;
-  uint64_t negatives = 0;
-};
-
 /// \brief A published read epoch: model copy + shared entity store, plus the
-/// view's per-label counts when it materializes them. All methods are const
-/// and safe for any number of concurrent readers.
+/// view's materialized labels when it keeps them. All methods are const and
+/// safe for any number of concurrent readers.
 class EpochSnapshot {
  public:
+  /// `labels`, when given, must describe exactly `model` over `store`.
   EpochSnapshot(uint64_t epoch, ml::LinearModel model,
                 std::shared_ptr<const EpochEntityStore> store,
-                std::optional<LabelCounts> counts = std::nullopt)
-      : epoch_(epoch),
-        model_(std::move(model)),
-        store_(std::move(store)),
-        counts_(counts) {}
+                std::optional<EpochLabels> labels = std::nullopt);
 
   uint64_t epoch() const { return epoch_; }
   const ml::LinearModel& model() const { return model_; }
   size_t num_entities() const { return store_->size(); }
   const EpochEntityStore& store() const { return *store_; }
-  /// True when AllMembersCount answers from published counts, not a scan.
-  bool has_counts() const { return counts_.has_value(); }
+  /// The published labels, or nullptr when reads of this epoch scan.
+  const EpochLabels* labels() const {
+    return labels_.has_value() ? &*labels_ : nullptr;
+  }
 
   /// Label of one entity under this epoch's model (NotFound if absent).
   StatusOr<int> SingleEntityRead(int64_t id) const;
 
-  /// All entity ids labeled `label` (+1/-1), in store order. Scans the
-  /// chunks through the scan-pipeline SIMD strips.
+  /// All entity ids labeled `label` (+1/-1): from the published labels in
+  /// the view's clustering order when there are some, otherwise a scan of
+  /// the chunks through the scan-pipeline SIMD strips, in store order.
   StatusOr<std::vector<int64_t>> AllMembers(int label) const;
 
-  /// Count of entities labeled `label`: the published count when the view
-  /// materialized one (O(1)), otherwise ScanCount.
+  /// Count of entities labeled `label`: O(1) from the published labels when
+  /// there are some, otherwise a scan like AllMembers.
   StatusOr<uint64_t> AllMembersCount(int label) const;
-
-  /// Count of entities labeled `label`, scoring every entity under this
-  /// epoch's model whatever was published.
-  StatusOr<uint64_t> ScanCount(int label) const;
 
   uint64_t pins() const { return pins_.load(std::memory_order_relaxed); }
 
  private:
   friend class EpochManager;
 
+  /// Scores every entity under model_ and calls emit(id) for each one
+  /// labeled `label`, in store order.
+  template <typename Emit>
+  void Scan(int label, Emit emit) const;
+
   uint64_t epoch_;
   ml::LinearModel model_;
   std::shared_ptr<const EpochEntityStore> store_;
-  std::optional<LabelCounts> counts_;
+  std::optional<EpochLabels> labels_;
+  uint64_t positives_ = 0;  // labels_->Count(1), when labels_ is set
   mutable std::atomic<uint64_t> pins_{0};
 };
 
@@ -201,12 +200,12 @@ class EpochManager {
   /// the hazy_epoch_* instruments. Call before the first Publish.
   void SetMetricLabels(const std::string& labels);
 
-  /// Publishes the next epoch, with the view's per-label counts when it
-  /// materializes them (they must describe exactly `model` over `store`).
-  /// Returns the published snapshot.
+  /// Publishes the next epoch, with the view's materialized labels when it
+  /// keeps them (they must describe exactly `model` over `store`). Returns
+  /// the published snapshot.
   std::shared_ptr<const EpochSnapshot> Publish(
       ml::LinearModel model, std::shared_ptr<const EpochEntityStore> store,
-      std::optional<LabelCounts> counts = std::nullopt) EXCLUDES(mu_);
+      std::optional<EpochLabels> labels = std::nullopt) EXCLUDES(mu_);
 
   /// Pins the latest published epoch (empty pin when none published yet).
   SnapshotPin Pin();

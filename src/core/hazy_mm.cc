@@ -31,15 +31,18 @@ double HazyMMView::ComputeMaxNormQ(const std::vector<Entity>& entities) const {
 
 Status HazyMMView::BulkLoad(const std::vector<Entity>& entities) {
   rows_.clear();
+  features_.clear();
   index_.clear();
   rows_.reserve(entities.size());
+  features_.reserve(entities.size());
   for (const auto& e : entities) {
     if (index_.count(e.id) > 0) {
       return Status::AlreadyExists(StrFormat("duplicate entity id %lld",
                                              static_cast<long long>(e.id)));
     }
     index_[e.id] = 0.0;  // fixed up by Reorganize below
-    rows_.push_back(Row{e.id, 0.0, 1, e.features});
+    rows_.push_back(Row{e.id, 0.0, 1, static_cast<uint32_t>(features_.size())});
+    features_.push_back(e.features);
   }
   max_norm_q_ = ComputeMaxNormQ(entities);
   water_.SetM(max_norm_q_);
@@ -52,21 +55,41 @@ Status HazyMMView::BulkLoad(const std::vector<Entity>& entities) {
 
 void HazyMMView::Reorganize() {
   Timer timer;
-  // Re-score everything in parallel strips, then derive labels from eps.
-  std::vector<double> eps(rows_.size());
-  ScoreRange(rows_.size(), model_, kDefaultMinParallelRows,
-             [&](size_t i) -> const ml::FeatureVector& { return rows_[i].features; },
+  // Re-score everything in parallel strips (in slot order, so the feature
+  // reads are sequential), then derive labels from eps.
+  std::vector<double> eps(features_.size());
+  ScoreRange(features_.size(), model_, kDefaultMinParallelRows,
+             [&](size_t s) -> const ml::FeatureVector& { return features_[s]; },
              eps.data());
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    rows_[i].eps = eps[i];
-    rows_[i].label = ml::SignOf(eps[i]);
+  for (Row& r : rows_) {
+    r.eps = eps[r.slot];
+    r.label = ml::SignOf(r.eps);
   }
   std::sort(rows_.begin(), rows_.end(), [](const Row& a, const Row& b) {
     return KeyLess(a.eps, a.id, b.eps, b.id);
   });
+  // Permute features_ into clustering order (slot = position), in place
+  // along each cycle, so window scans read them sequentially; entity
+  // inserts until the next reorganization only append.
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (rows_[i].slot == i) continue;
+    ml::FeatureVector first = std::move(features_[i]);
+    size_t j = i;
+    for (;;) {
+      const size_t from = rows_[j].slot;
+      rows_[j].slot = static_cast<uint32_t>(j);
+      if (from == i) {
+        features_[j] = std::move(first);
+        break;
+      }
+      features_[j] = std::move(features_[from]);
+      j = from;
+    }
+  }
   index_.clear();
   index_.reserve(rows_.size());
   for (const Row& r : rows_) index_[r.id] = r.eps;
+  ids_.reset();
   water_.Reorganize(model_);
   strategy_->OnReorganize();
   ++stats_.reorgs;
@@ -117,7 +140,7 @@ size_t HazyMMView::IncrementalStep() {
     // bit-for-bit the ones ClassifyRange would produce.
     for (size_t i = lo; i < hi; ++i) {
       Row& r = rows_[i];
-      int label = model_.Classify(r.features);
+      int label = model_.Classify(features_[r.slot]);
       if (label != r.label) ++flips;
       r.label = label;
     }
@@ -127,7 +150,7 @@ size_t HazyMMView::IncrementalStep() {
     std::vector<int8_t> labels(hi - lo);
     ClassifyRange(hi - lo, model_, kDefaultMinParallelRows,
                   [&](size_t i) -> const ml::FeatureVector& {
-                    return rows_[lo + i].features;
+                    return FeaturesAt(lo + i);
                   },
                   labels.data());
     for (size_t i = lo; i < hi; ++i) {
@@ -153,14 +176,16 @@ Status HazyMMView::AddEntity(const Entity& entity) {
   r.id = entity.id;
   r.eps = water_.stored_model().Eps(entity.features);
   r.label = model_.Classify(entity.features);
-  r.features = entity.features;
+  r.slot = static_cast<uint32_t>(features_.size());
 
   auto pos_it = std::lower_bound(
       rows_.begin(), rows_.end(), r, [](const Row& a, const Row& b) {
         return KeyLess(a.eps, a.id, b.eps, b.id);
       });
+  features_.push_back(entity.features);
   index_[r.id] = r.eps;
-  rows_.insert(pos_it, std::move(r));
+  rows_.insert(pos_it, r);
+  ids_.reset();
 
   if (norm > max_norm_q_) {
     // A larger M invalidates the accumulated water lines (they were built
@@ -232,7 +257,7 @@ StatusOr<int> HazyMMView::ReadOnlyLabel(int64_t id) const {
   if (options_.mode == Mode::kEager) return r.label;
   if (water_.CertainPositive(r.eps)) return 1;
   if (water_.CertainNegative(r.eps)) return -1;
-  return model_.Classify(r.features);
+  return model_.Classify(features_[r.slot]);
 }
 
 StatusOr<int> HazyMMView::SingleEntityRead(int64_t id) {
@@ -255,7 +280,7 @@ StatusOr<int> HazyMMView::SingleEntityRead(int64_t id) {
     return -1;
   }
   ++stats_.reads_from_store;
-  return model_.Classify(r.features);
+  return model_.Classify(features_[r.slot]);
 }
 
 template <typename Emit>
@@ -280,7 +305,7 @@ StatusOr<uint64_t> HazyMMView::LazyMembersScan(int label, Emit emit) {
   std::vector<int8_t> labels(wend - begin);
   ClassifyRange(wend - begin, model_, kDefaultMinParallelRows,
                 [&](size_t i) -> const ml::FeatureVector& {
-                  return rows_[begin + i].features;
+                  return FeaturesAt(begin + i);
                 },
                 labels.data());
   stats_.window_tuples += wend - begin;
@@ -307,30 +332,19 @@ StatusOr<uint64_t> HazyMMView::LazyMembersScan(int label, Emit emit) {
 
 StatusOr<std::vector<int64_t>> HazyMMView::AllMembers(int label) {
   ++stats_.all_members_queries;
-  std::vector<int64_t> out;
-  out.reserve(rows_.size());
   if (options_.mode == Mode::kLazy) {
+    std::vector<int64_t> out;
+    out.reserve(rows_.size());
     HAZY_RETURN_NOT_OK(LazyMembersScan(label, [&](int64_t id) { out.push_back(id); })
                            .status());
     return out;
   }
   // Eager: labels are materialized; use the clustering to skip certain
   // regions (the "slight improvement" of Section 2.2).
-  const size_t lo = LowerBound(water_.low_water());
-  const size_t hi = LowerBound(water_.high_water());
-  if (label == -1) {
-    for (size_t i = 0; i < lo; ++i) out.push_back(rows_[i].id);
-    for (size_t i = lo; i < hi; ++i) {
-      if (rows_[i].label == -1) out.push_back(rows_[i].id);
-    }
-  } else {
-    for (size_t i = lo; i < hi; ++i) {
-      if (rows_[i].label == 1) out.push_back(rows_[i].id);
-    }
-    for (size_t i = hi; i < rows_.size(); ++i) out.push_back(rows_[i].id);
-  }
-  stats_.tuples_scanned += hi - lo;
-  return out;
+  EpochLabels labels;
+  MaterializedLabels(&labels);
+  stats_.tuples_scanned += labels.window.size();
+  return labels.Members(label);
 }
 
 StatusOr<uint64_t> HazyMMView::AllMembersCount(int label) {
@@ -338,28 +352,27 @@ StatusOr<uint64_t> HazyMMView::AllMembersCount(int label) {
   if (options_.mode == Mode::kLazy) {
     return LazyMembersScan(label, [](int64_t) {});
   }
-  uint64_t positives = 0, negatives = 0;
-  stats_.tuples_scanned += CountEagerLabels(&positives, &negatives);
-  return label == -1 ? negatives : positives;
+  EpochLabels labels;
+  MaterializedLabels(&labels);
+  stats_.tuples_scanned += labels.window.size();
+  return labels.Count(label);
 }
 
-size_t HazyMMView::CountEagerLabels(uint64_t* positives,
-                                    uint64_t* negatives) const {
-  const size_t lo = LowerBound(water_.low_water());
-  const size_t hi = LowerBound(water_.high_water());
-  uint64_t window_positives = 0;
-  for (size_t i = lo; i < hi; ++i) {
-    if (rows_[i].label == 1) ++window_positives;
-  }
-  *positives = window_positives + (rows_.size() - hi);
-  *negatives = (hi - lo - window_positives) + lo;
-  return hi - lo;
-}
-
-bool HazyMMView::MaterializedCounts(uint64_t* positives,
-                                    uint64_t* negatives) const {
+bool HazyMMView::MaterializedLabels(EpochLabels* out) const {
   if (options_.mode != Mode::kEager) return false;
-  CountEagerLabels(positives, negatives);
+  if (ids_ == nullptr) {
+    auto ids = std::make_shared<std::vector<int64_t>>();
+    ids->reserve(rows_.size());
+    for (const Row& r : rows_) ids->push_back(r.id);
+    ids_ = std::move(ids);
+  }
+  out->ids = ids_;
+  out->lo = LowerBound(water_.low_water());
+  out->hi = LowerBound(water_.high_water());
+  out->window.resize(out->hi - out->lo);
+  for (size_t i = out->lo; i < out->hi; ++i) {
+    out->window[i - out->lo] = static_cast<int8_t>(rows_[i].label);
+  }
   return true;
 }
 
@@ -372,7 +385,7 @@ StatusOr<std::vector<int64_t>> HazyMMView::TopUncertain(size_t k) {
   // Max-heap of (|eps under the current model|, id), capped at k entries.
   std::priority_queue<std::pair<double, int64_t>> best;
   auto consider = [&](const Row& r) {
-    double e = std::fabs(model_.Eps(r.features));
+    double e = std::fabs(model_.Eps(features_[r.slot]));
     if (best.size() < k) {
       best.emplace(e, r.id);
     } else if (e < best.top().first) {
@@ -433,7 +446,7 @@ Status HazyMMView::SaveState(persist::StateWriter* w) const {
     w->PutI64(r.id);
     w->PutDouble(r.eps);
     w->PutI32(r.label);
-    w->PutFeatureVector(r.features);
+    w->PutFeatureVector(features_[r.slot]);
   }
   water_.SaveState(w);
   strategy_->SaveState(w);
@@ -450,18 +463,21 @@ Status HazyMMView::LoadState(persist::StateReader* r) {
   HAZY_RETURN_NOT_OK(r->CheckCount(n));
   rows_.clear();
   rows_.reserve(n);
+  features_.clear();
+  features_.reserve(n);
   index_.clear();
   index_.reserve(n);
+  ids_.reset();
   for (uint64_t i = 0; i < n; ++i) {
     Row row;
     HAZY_RETURN_NOT_OK(r->GetI64(&row.id));
     HAZY_RETURN_NOT_OK(r->GetDouble(&row.eps));
-    int32_t label = 0;
-    HAZY_RETURN_NOT_OK(r->GetI32(&label));
-    row.label = label;
-    HAZY_RETURN_NOT_OK(r->GetFeatureVector(&row.features));
+    HAZY_RETURN_NOT_OK(r->GetI32(&row.label));
+    row.slot = static_cast<uint32_t>(i);
+    features_.emplace_back();
+    HAZY_RETURN_NOT_OK(r->GetFeatureVector(&features_.back()));
     index_[row.id] = row.eps;
-    rows_.push_back(std::move(row));
+    rows_.push_back(row);
   }
   HAZY_RETURN_NOT_OK(water_.LoadState(r));
   HAZY_RETURN_NOT_OK(strategy_->LoadState(r));
@@ -472,13 +488,15 @@ Status HazyMMView::LoadState(persist::StateReader* r) {
 size_t HazyMMView::MemoryBytes() const {
   size_t b = rows_.capacity() * sizeof(Row) +
              index_.size() * (sizeof(int64_t) + sizeof(double) + 2 * sizeof(void*));
-  for (const auto& r : rows_) b += r.features.ApproxBytes() - sizeof(ml::FeatureVector);
+  b += features_.capacity() * sizeof(ml::FeatureVector);
+  for (const auto& f : features_) b += f.ApproxBytes() - sizeof(ml::FeatureVector);
+  if (ids_ != nullptr) b += ids_->capacity() * sizeof(int64_t);
   return b;
 }
 
 Status HazyMMView::ExportEntities(std::vector<Entity>* out) const {
   out->reserve(out->size() + rows_.size());
-  for (const auto& r : rows_) out->push_back(Entity{r.id, r.features});
+  for (const auto& r : rows_) out->push_back(Entity{r.id, features_[r.slot]});
   return Status::OK();
 }
 

@@ -52,10 +52,12 @@ class HazyMMView : public ViewBase {
     return true;
   }
 
-  /// Eager mode: O(window) — rows below lw are certainly negative, rows at
-  /// or above hw certainly positive, and the window's labels are current.
-  bool MaterializedCounts(uint64_t* positives,
-                          uint64_t* negatives) const override;
+  /// Eager mode: ids in (eps, id) clustering order, lo/hi at the water
+  /// lines (rows below lw are certainly negative, rows at or above hw
+  /// certainly positive) and a copy of the window's current labels —
+  /// O(window) while the layout is unchanged, plus one O(N) id copy after
+  /// it changes.
+  bool MaterializedLabels(EpochLabels* out) const override;
 
   /// Number of tuples currently inside [lw, hw) — the Fig 13 series.
   size_t WindowSize() const;
@@ -82,12 +84,18 @@ class HazyMMView : public ViewBase {
   }
 
  private:
+  /// Trivially copyable, so inserts shift and reorganizations sort 24-byte
+  /// PODs; the features stay put in features_.
   struct Row {
     int64_t id;
-    double eps;  // under the stored model (the clustering key)
-    int label;   // maintained eagerly; advisory in lazy mode
-    ml::FeatureVector features;
+    double eps;     // under the stored model (the clustering key)
+    int32_t label;  // maintained eagerly; advisory in lazy mode
+    uint32_t slot;  // index into features_
   };
+
+  const ml::FeatureVector& FeaturesAt(size_t i) const {
+    return features_[rows_[i].slot];
+  }
 
   /// Re-clusters: recompute eps with the current model, sort, relabel.
   /// Sets S (the reorganization cost in the configured cost model).
@@ -99,10 +107,6 @@ class HazyMMView : public ViewBase {
   /// Position of entity `id` in rows_ (binary search on the (eps, id)
   /// clustering key), or rows_.size() when absent.
   size_t Locate(int64_t id) const;
-
-  /// Eager label counts: the materialized labels of the window [lw, hw)
-  /// plus the certain regions on either side. Returns the window size.
-  size_t CountEagerLabels(uint64_t* positives, uint64_t* negatives) const;
 
   /// Walks the window [lw, hw), reclassifying with the current model.
   /// Returns the number of tuples inspected.
@@ -119,7 +123,11 @@ class HazyMMView : public ViewBase {
 
   double ComputeMaxNormQ(const std::vector<Entity>& entities) const;
 
-  std::vector<Row> rows_;
+  std::vector<Row> rows_;  // in (eps, id) clustering order
+  std::vector<ml::FeatureVector> features_;  // by Row::slot
+  /// The ids of rows_, in order, as last published; reset whenever the
+  /// layout changes (never mutated: published epochs share it).
+  mutable std::shared_ptr<const std::vector<int64_t>> ids_;
   /// id -> stored eps. With the id it is the row's clustering key, so an
   /// insert shifts rows_ without rewriting any entry.
   std::unordered_map<int64_t, double> index_;

@@ -11,6 +11,7 @@ namespace hazy::core {
 Status NaiveMMView::BulkLoad(const std::vector<Entity>& entities) {
   rows_.clear();
   index_.clear();
+  ids_.reset();
   rows_.reserve(entities.size());
   index_.reserve(entities.size());
   for (const auto& e : entities) {
@@ -31,6 +32,7 @@ Status NaiveMMView::AddEntity(const Entity& entity) {
   }
   index_[entity.id] = rows_.size();
   rows_.push_back(Row{entity.id, model_.Classify(entity.features), entity.features});
+  ids_.reset();
   return Status::OK();
 }
 
@@ -116,9 +118,9 @@ StatusOr<uint64_t> NaiveMMView::AllMembersCount(int label) {
   ++stats_.all_members_queries;
   uint64_t n = 0;
   if (options_.mode == Mode::kEager) {
-    uint64_t positives = 0, negatives = 0;
-    MaterializedCounts(&positives, &negatives);
-    n = label == -1 ? negatives : positives;
+    for (const auto& r : rows_) {
+      if (r.label == label) ++n;
+    }
   } else {
     obs::TraceScope scan_span(obs::SpanKind::kLazyScan);
     std::vector<int8_t> labels;
@@ -131,15 +133,21 @@ StatusOr<uint64_t> NaiveMMView::AllMembersCount(int label) {
   return n;
 }
 
-bool NaiveMMView::MaterializedCounts(uint64_t* positives,
-                                     uint64_t* negatives) const {
+bool NaiveMMView::MaterializedLabels(EpochLabels* out) const {
   if (options_.mode != Mode::kEager) return false;
-  uint64_t pos = 0;
-  for (const auto& r : rows_) {
-    if (r.label == 1) ++pos;
+  if (ids_ == nullptr) {
+    auto ids = std::make_shared<std::vector<int64_t>>();
+    ids->reserve(rows_.size());
+    for (const auto& r : rows_) ids->push_back(r.id);
+    ids_ = std::move(ids);
   }
-  *positives = pos;
-  *negatives = rows_.size() - pos;
+  out->ids = ids_;
+  out->lo = 0;
+  out->hi = rows_.size();
+  out->window.resize(rows_.size());
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    out->window[i] = static_cast<int8_t>(rows_[i].label);
+  }
   return true;
 }
 
@@ -169,6 +177,7 @@ Status NaiveMMView::LoadState(persist::StateReader* r) {
   rows_.reserve(n);
   index_.clear();
   index_.reserve(n);
+  ids_.reset();
   for (uint64_t i = 0; i < n; ++i) {
     Row row;
     HAZY_RETURN_NOT_OK(r->GetI64(&row.id));
@@ -186,6 +195,7 @@ size_t NaiveMMView::MemoryBytes() const {
   size_t b = rows_.capacity() * sizeof(Row) +
              index_.size() * (sizeof(int64_t) + sizeof(size_t) + 2 * sizeof(void*));
   for (const auto& r : rows_) b += r.features.ApproxBytes() - sizeof(ml::FeatureVector);
+  if (ids_ != nullptr) b += ids_->capacity() * sizeof(int64_t);
   return b;
 }
 

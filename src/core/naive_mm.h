@@ -5,6 +5,7 @@
 #ifndef HAZY_CORE_NAIVE_MM_H_
 #define HAZY_CORE_NAIVE_MM_H_
 
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -26,9 +27,9 @@ class NaiveMMView : public ViewBase {
   StatusOr<int> SingleEntityRead(int64_t id) override;
   StatusOr<std::vector<int64_t>> AllMembers(int label) override;
   StatusOr<uint64_t> AllMembersCount(int label) override;
-  /// Eager mode: one pass over the materialized labels.
-  bool MaterializedCounts(uint64_t* positives,
-                          uint64_t* negatives) const override;
+  /// Eager mode: ids in row order, all of them in the window (no
+  /// clustering) — one pass over the materialized labels.
+  bool MaterializedLabels(EpochLabels* out) const override;
   size_t MemoryBytes() const override;
   const char* name() const override {
     return options_.mode == Mode::kEager ? "naive-mm-eager" : "naive-mm-lazy";
@@ -58,6 +59,9 @@ class NaiveMMView : public ViewBase {
 
   std::vector<Row> rows_;
   std::unordered_map<int64_t, size_t> index_;
+  /// The ids of rows_, in order, as last published; reset whenever rows
+  /// are added (never mutated: published epochs share it).
+  mutable std::shared_ptr<const std::vector<int64_t>> ids_;
 };
 
 }  // namespace hazy::core

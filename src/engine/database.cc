@@ -71,12 +71,12 @@ Status ManagedView::PublishEpoch() {
     store_builder_.ReplaceAll(std::move(ents));
     store_reset_pending_ = false;
   }
-  // Counts and model are read at the same instant — the batch boundary,
+  // Labels and model are read at the same instant — the batch boundary,
   // where an eager view's materialized labels equal sign(w·f − b).
-  std::optional<core::LabelCounts> counts;
-  core::LabelCounts c;
-  if (view_->MaterializedCounts(&c.positives, &c.negatives)) counts = c;
-  epochs_.Publish(view_->model(), store_builder_.Seal(), counts);
+  std::optional<core::EpochLabels> labels;
+  core::EpochLabels l;
+  if (view_->MaterializedLabels(&l)) labels = std::move(l);
+  epochs_.Publish(view_->model(), store_builder_.Seal(), std::move(labels));
   epoch_publish_pending_ = false;
   return Status::OK();
 }

@@ -441,39 +441,111 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
   return ExecSelectViewGated(stmt, view);
 }
 
+namespace {
+
+/// A SELECT's projection over a view's (key INT, class TEXT) schema, resolved
+/// once per statement so building a row compares no column names.
+class ViewProjection {
+ public:
+  static StatusOr<ViewProjection> Resolve(const SelectStmt& stmt,
+                                          const engine::ManagedView& view) {
+    ViewProjection p;
+    p.stmt_ = &stmt;
+    const std::string& key_col = view.def().entity_key;
+    p.names_ = stmt.columns;
+    if (p.names_.empty() && !stmt.count_star) p.names_ = {key_col, "class"};
+    for (const auto& col : p.names_) {
+      const bool is_key = EqualsIgnoreCase(col, key_col);
+      if (!is_key && !EqualsIgnoreCase(col, "class")) {
+        return Status::InvalidArgument(StrFormat(
+            "view %s has columns (%s, class); no column '%s'",
+            view.name().c_str(), key_col.c_str(), col.c_str()));
+      }
+      p.is_key_.push_back(is_key);
+    }
+    return p;
+  }
+
+  /// Appends one (id, label) row in projection order.
+  void Emit(int64_t id, const std::string& label, ResultSet* rs) const {
+    Row row;
+    row.reserve(is_key_.size());
+    for (bool is_key : is_key_) {
+      if (is_key) {
+        row.emplace_back(id);
+      } else {
+        row.emplace_back(label);
+      }
+    }
+    rs->rows.push_back(std::move(row));
+  }
+
+  /// True once rs holds the statement's LIMIT of rows.
+  bool Full(const ResultSet& rs) const {
+    return stmt_->limit.has_value() &&
+           rs.rows.size() >= static_cast<size_t>(*stmt_->limit);
+  }
+
+  /// Appends a row per member id, all labeled `label`, up to the LIMIT.
+  void EmitMembers(const std::vector<int64_t>& ids, const std::string& label,
+                   ResultSet* rs) const {
+    size_t n = ids.size();
+    if (stmt_->limit.has_value()) {
+      n = std::min(n, static_cast<size_t>(*stmt_->limit));
+    }
+    rs->rows.reserve(rs->rows.size() + n);
+    for (int64_t id : ids) {
+      Emit(id, label, rs);
+      if (Full(*rs)) break;
+    }
+  }
+
+  /// Completes rs: one COUNT row for COUNT(*), else the column descriptors.
+  void Finish(ResultSet* rs) const {
+    if (stmt_->count_star) {
+      rs->columns = {{"count", storage::ColumnType::kInt64}};
+      rs->rows = {Row{static_cast<int64_t>(rs->rows.size())}};
+      return;
+    }
+    for (size_t i = 0; i < names_.size(); ++i) {
+      rs->columns.push_back({names_[i], is_key_[i] ? storage::ColumnType::kInt64
+                                                   : storage::ColumnType::kText});
+    }
+  }
+
+ private:
+  const SelectStmt* stmt_ = nullptr;
+  std::vector<std::string> names_;
+  std::vector<bool> is_key_;
+};
+
+ResultSet CountResult(uint64_t n) {
+  ResultSet rs;
+  rs.columns = {{"count", storage::ColumnType::kInt64}};
+  rs.rows.push_back(Row{static_cast<int64_t>(n)});
+  return rs;
+}
+
+}  // namespace
+
 StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     const SelectStmt& stmt, engine::ManagedView* view,
     const core::EpochSnapshot& snap) {
   ResultSet rs;
-  const std::string key_col = view->def().entity_key;
+  const std::string& key_col = view->def().entity_key;
   // The answers come from the pinned epoch, but the work is still this
   // view's read traffic: feed its stats (relaxed cells, safe concurrent
   // with the writer) and the statement trace exactly as the gated path
   // would, so SHOW METRICS / EXPLAIN TRACE see one coherent story.
   std::shared_ptr<core::ClassificationView> live = view->SharedView();
   core::ViewStats* vstats = live->mutable_stats();
-
-  std::vector<std::string> proj = stmt.columns;
-  if (proj.empty() && !stmt.count_star) proj = {key_col, "class"};
-  for (const auto& col : proj) {
-    if (!EqualsIgnoreCase(col, key_col) && !EqualsIgnoreCase(col, "class")) {
-      return Status::InvalidArgument(StrFormat(
-          "view %s has columns (%s, class); no column '%s'",
-          view->name().c_str(), key_col.c_str(), col.c_str()));
-    }
-  }
-
-  auto emit = [&](int64_t id, const std::string& label) {
-    Row row;
-    for (const auto& col : proj) {
-      if (EqualsIgnoreCase(col, key_col)) {
-        row.emplace_back(id);
-      } else {
-        row.emplace_back(label);
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  };
+  HAZY_ASSIGN_OR_RETURN(ViewProjection proj, ViewProjection::Resolve(stmt, *view));
+  // An epoch carrying the view's materialized labels answers All Members
+  // and COUNT without scoring anything; every other epoch scores its whole
+  // store.
+  const bool from_labels = snap.labels() != nullptr;
+  const obs::SpanKind members_span =
+      from_labels ? obs::SpanKind::kEagerRead : obs::SpanKind::kSnapshotScan;
 
   if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
       stmt.where->op == CompareOp::kEq) {
@@ -488,12 +560,8 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
       // Empty result, not an error.
     } else {
       HAZY_RETURN_NOT_OK(sign.status());
-      if (stmt.count_star) {
-        rs.columns = {{"count", storage::ColumnType::kInt64}};
-        rs.rows.push_back(Row{static_cast<int64_t>(1)});
-        return rs;
-      }
-      emit(id, view->LabelString(*sign));
+      if (stmt.count_star) return CountResult(1);
+      proj.Emit(id, view->LabelString(*sign), &rs);
     }
   } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
              stmt.where->op == CompareOp::kEq) {
@@ -504,95 +572,45 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     const std::string& label = std::get<std::string>(stmt.where->value);
     HAZY_ASSIGN_OR_RETURN(int member_sign, view->LabelSign(label));
     ++vstats->all_members_queries;
-    // A COUNT on an epoch that carries the view's materialized counts
-    // scores nothing; every other read scores the whole store.
-    const bool from_counts = stmt.count_star && snap.has_counts();
-    obs::TraceScope read_span(from_counts ? obs::SpanKind::kEagerRead
-                                          : obs::SpanKind::kSnapshotScan);
-    if (!from_counts) vstats->tuples_scanned += snap.num_entities();
+    obs::TraceScope read_span(members_span);
+    if (!from_labels) vstats->tuples_scanned += snap.num_entities();
     if (stmt.count_star) {
       HAZY_ASSIGN_OR_RETURN(uint64_t n, snap.AllMembersCount(member_sign));
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(n)});
-      return rs;
+      return CountResult(n);
     }
     HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap.AllMembers(member_sign));
-    for (int64_t id : ids) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
+    proj.EmitMembers(ids, label, &rs);
   } else if (!stmt.where.has_value()) {
-    if (stmt.count_star) {
-      // Every entity has exactly one label: the count is the epoch's size.
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(snap.num_entities())});
-      return rs;
-    }
+    // Every entity has exactly one label: the count is the epoch's size.
+    if (stmt.count_star) return CountResult(snap.num_entities());
     // Full view scan: both classes.
-    obs::TraceScope scan_span(obs::SpanKind::kSnapshotScan);
-    std::vector<std::pair<int64_t, std::string>> all;
+    obs::TraceScope scan_span(members_span);
+    std::vector<std::pair<int64_t, int>> all;
+    all.reserve(snap.num_entities());
     for (int sign : {1, -1}) {
       ++vstats->all_members_queries;
-      vstats->tuples_scanned += snap.num_entities();
+      if (!from_labels) vstats->tuples_scanned += snap.num_entities();
       HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap.AllMembers(sign));
-      for (int64_t id : ids) all.emplace_back(id, view->LabelString(sign));
+      for (int64_t id : ids) all.emplace_back(id, sign);
     }
     std::sort(all.begin(), all.end());
-    for (const auto& [id, label] : all) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
+    for (const auto& [id, sign] : all) {
+      proj.Emit(id, view->LabelString(sign), &rs);
+      if (proj.Full(rs)) break;
     }
   } else {
     return Status::NotSupported(
         "view predicates must be '<key> = n' or \"class = 'label'\"");
   }
-
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows = {Row{static_cast<int64_t>(rs.rows.size())}};
-    return rs;
-  }
-  for (const auto& col : proj) {
-    rs.columns.push_back({col, EqualsIgnoreCase(col, key_col)
-                                   ? storage::ColumnType::kInt64
-                                   : storage::ColumnType::kText});
-  }
+  proj.Finish(&rs);
   return rs;
 }
 
 StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
                                                   engine::ManagedView* view) {
   ResultSet rs;
-  const std::string key_col = view->def().entity_key;
-
-  // Projection over the view's (id, class) schema.
-  std::vector<std::string> proj = stmt.columns;
-  if (proj.empty() && !stmt.count_star) proj = {key_col, "class"};
-  for (const auto& col : proj) {
-    if (!EqualsIgnoreCase(col, key_col) && !EqualsIgnoreCase(col, "class")) {
-      return Status::InvalidArgument(StrFormat(
-          "view %s has columns (%s, class); no column '%s'",
-          view->name().c_str(), key_col.c_str(), col.c_str()));
-    }
-  }
-
-  auto emit = [&](int64_t id, const std::string& label) {
-    Row row;
-    for (const auto& col : proj) {
-      if (EqualsIgnoreCase(col, key_col)) {
-        row.emplace_back(id);
-      } else {
-        row.emplace_back(label);
-      }
-    }
-    rs.rows.push_back(std::move(row));
-  };
+  const std::string& key_col = view->def().entity_key;
+  HAZY_ASSIGN_OR_RETURN(ViewProjection proj, ViewProjection::Resolve(stmt, *view));
 
   if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
       stmt.where->op == CompareOp::kEq) {
@@ -606,12 +624,8 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
       // Empty result, not an error.
     } else {
       HAZY_RETURN_NOT_OK(label.status());
-      if (stmt.count_star) {
-        rs.columns = {{"count", storage::ColumnType::kInt64}};
-        rs.rows.push_back(Row{static_cast<int64_t>(1)});
-        return rs;
-      }
-      emit(id, *label);
+      if (stmt.count_star) return CountResult(1);
+      proj.Emit(id, *label, &rs);
     }
   } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
              stmt.where->op == CompareOp::kEq) {
@@ -622,55 +636,29 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
     const std::string& label = std::get<std::string>(stmt.where->value);
     if (stmt.count_star) {
       HAZY_ASSIGN_OR_RETURN(uint64_t n, view->CountOf(label));
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(n)});
-      return rs;
+      return CountResult(n);
     }
     HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, view->MembersOf(label));
-    for (int64_t id : ids) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
-    }
+    proj.EmitMembers(ids, label, &rs);
   } else if (!stmt.where.has_value()) {
     // Full view scan: both classes.
-    std::vector<std::pair<int64_t, std::string>> all;
+    std::vector<std::pair<int64_t, int>> all;
     for (int sign : {1, -1}) {
       HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids,
                             view->view()->AllMembers(sign));
-      for (int64_t id : ids) all.emplace_back(id, view->LabelString(sign));
+      for (int64_t id : ids) all.emplace_back(id, sign);
     }
+    if (stmt.count_star) return CountResult(all.size());
     std::sort(all.begin(), all.end());
-    if (stmt.count_star) {
-      rs.columns = {{"count", storage::ColumnType::kInt64}};
-      rs.rows.push_back(Row{static_cast<int64_t>(all.size())});
-      return rs;
-    }
-    for (const auto& [id, label] : all) {
-      emit(id, label);
-      if (stmt.limit.has_value() &&
-          rs.rows.size() >= static_cast<size_t>(*stmt.limit)) {
-        break;
-      }
+    for (const auto& [id, sign] : all) {
+      proj.Emit(id, view->LabelString(sign), &rs);
+      if (proj.Full(rs)) break;
     }
   } else {
     return Status::NotSupported(
         "view predicates must be '<key> = n' or \"class = 'label'\"");
   }
-
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows = {Row{static_cast<int64_t>(rs.rows.size())}};
-    return rs;
-  }
-  for (const auto& col : proj) {
-    // A view's schema is (entity key INT, class TEXT).
-    rs.columns.push_back({col, EqualsIgnoreCase(col, key_col)
-                                   ? storage::ColumnType::kInt64
-                                   : storage::ColumnType::kText});
-  }
+  proj.Finish(&rs);
   return rs;
 }
 

@@ -77,6 +77,55 @@ TEST(EpochSnapshotTest, AnswersMatchHandModel) {
   EXPECT_EQ(*nneg, 2u);
 }
 
+// Published labels (an eager view's materialized state) answer All Members
+// and COUNT without scoring: ids[0, lo) are −1, ids[hi, n) are +1, and the
+// window holds the labels in between, in the view's layout order. The
+// layouts below cover an empty window, lo = 0, hi = n, a window whose labels
+// interleave, and every row in the window (the Naive-MM shape).
+TEST(EpochSnapshotTest, PublishedLabelsAnswerInLayoutOrder) {
+  // Under Threshold5: ids 1, 2 are −1 (x < 5), ids 3..6 are +1.
+  auto chunk = MakeEpochChunk({Ent(1, 1.0), Ent(2, 3.0), Ent(3, 5.0),
+                               Ent(4, 6.0), Ent(5, 8.0), Ent(6, 9.0)});
+  auto store = std::make_shared<const EpochEntityStore>(
+      std::vector<std::shared_ptr<const EpochChunk>>{chunk});
+  struct Layout {
+    const char* name;
+    std::vector<int64_t> ids;
+    size_t lo, hi;
+    std::vector<int8_t> window;
+    std::vector<int64_t> pos, neg;
+  };
+  const std::vector<int64_t> sorted = {1, 2, 3, 4, 5, 6};
+  const Layout layouts[] = {
+      {"empty window", sorted, 2, 2, {}, {3, 4, 5, 6}, {1, 2}},
+      {"lo = 0", sorted, 0, 4, {-1, -1, 1, 1}, {3, 4, 5, 6}, {1, 2}},
+      {"hi = n", sorted, 1, 6, {-1, 1, 1, 1, 1}, {3, 4, 5, 6}, {1, 2}},
+      {"interleaved window", {1, 3, 2, 4, 5, 6}, 1, 4, {1, -1, 1}, {3, 4, 5, 6},
+       {1, 2}},
+      {"all in window", {4, 1, 6, 2, 3, 5}, 0, 6, {1, -1, 1, -1, 1, 1},
+       {4, 6, 3, 5}, {1, 2}},
+  };
+  for (const Layout& l : layouts) {
+    SCOPED_TRACE(l.name);
+    EpochLabels labels;
+    labels.ids = std::make_shared<const std::vector<int64_t>>(l.ids);
+    labels.lo = l.lo;
+    labels.hi = l.hi;
+    labels.window = l.window;
+    EpochSnapshot snap(/*epoch=*/1, Threshold5(), store, labels);
+    ASSERT_NE(snap.labels(), nullptr);
+    auto pos = snap.AllMembers(+1);
+    auto neg = snap.AllMembers(-1);
+    auto npos = snap.AllMembersCount(+1);
+    auto nneg = snap.AllMembersCount(-1);
+    ASSERT_TRUE(pos.ok() && neg.ok() && npos.ok() && nneg.ok());
+    EXPECT_EQ(*pos, l.pos);
+    EXPECT_EQ(*neg, l.neg);
+    EXPECT_EQ(*npos, l.pos.size());
+    EXPECT_EQ(*nneg, l.neg.size());
+  }
+}
+
 TEST(EpochStoreBuilderTest, SealReusesStoreWhenClean) {
   EpochStoreBuilder builder;
   // Seed a chunk big enough that the tiered-merge policy leaves it alone

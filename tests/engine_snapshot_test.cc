@@ -441,8 +441,8 @@ INSTANTIATE_TEST_SUITE_P(Architectures, EngineSnapshotTest,
 // multi-row batches), an entity whose larger norm forces a reorganization,
 // an example DELETE (retrain from scratch), CHECKPOINT + reopen and a plain
 // reopen (WAL replay) runs over dense feature vectors; at every batch
-// boundary the SQL COUNT, the pinned epoch's AllMembersCount, a forced full
-// scan of that same epoch, the view's own CountOf and a naive
+// boundary the SQL COUNT and All Members, the pinned epoch's AllMembersCount
+// and AllMembers, the view's own CountOf and MembersOf and a naive
 // sign(w·f − b) oracle (sign(0) = +1) must all agree for both labels.
 class CountDifferentialTest : public ::testing::TestWithParam<ArchMode> {
  protected:
@@ -450,7 +450,11 @@ class CountDifferentialTest : public ::testing::TestWithParam<ArchMode> {
   static constexpr int64_t kInitialEntities = 300;
 
   void SetUp() override {
-    path_ = ::testing::TempDir() + "hazy_count_diff_" + GetParam().name + ".db";
+    // One file per test and parameter: ctest runs them in parallel.
+    const std::string test =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    path_ = ::testing::TempDir() + "hazy_read_diff_" +
+            test.substr(0, test.find('/')) + "_" + GetParam().name + ".db";
     RemoveFiles();
     options_.path = path_;
     // Deterministic Skiing decisions: the work is a function of the seed.
@@ -516,49 +520,109 @@ class CountDifferentialTest : public ::testing::TestWithParam<ArchMode> {
                      positive ? "POS" : "NEG");
   }
 
-  /// Asserts every COUNT path agrees at the current batch boundary.
-  void CheckCounts(const std::string& step) {
+  /// Asserts every COUNT and All Members path agrees with the oracle at
+  /// the current batch boundary.
+  void CheckReads(const std::string& step) {
     SCOPED_TRACE(step);
     auto got = db_->GetView("V");
     ASSERT_TRUE(got.ok());
     ManagedView* view = *got;
     core::SnapshotPin pin = view->PinSnapshot();
     ASSERT_TRUE(pin);
-    // Eager main-memory views publish counts; lazy ones leave COUNT a scan.
-    EXPECT_EQ(pin->has_counts(), GetParam().mode == core::Mode::kEager);
+    // Eager main-memory views publish their labels; lazy ones scan.
+    const bool eager = GetParam().mode == core::Mode::kEager;
+    ASSERT_EQ(pin->labels() != nullptr, eager);
     EXPECT_EQ(pin->num_entities(), static_cast<size_t>(entities_));
+    if (eager) {
+      EXPECT_EQ(pin->labels()->ids->size(), pin->num_entities());
+    }
 
     // The naive oracle: score every entity of the epoch under the live model.
     const ml::LinearModel& model = view->view()->model();
-    uint64_t oracle_positives = 0;
+    std::vector<int64_t> oracle[2];  // [0] = +1, [1] = -1; sorted below
     for (const auto& chunk : pin->store().chunks()) {
       for (const auto& e : chunk->rows) {
-        if (e.features.Dot(model.w) - model.b >= 0.0) ++oracle_positives;
+        oracle[e.features.Dot(model.w) - model.b >= 0.0 ? 0 : 1].push_back(e.id);
       }
     }
-    const uint64_t oracle[2] = {oracle_positives,
-                                pin->num_entities() - oracle_positives};
 
-    uint64_t total = 0;
+    std::vector<int64_t> members[2];
     for (int i = 0; i < 2; ++i) {
       const int sign = i == 0 ? 1 : -1;
       const std::string& label = view->LabelString(sign);
+      std::sort(oracle[i].begin(), oracle[i].end());
+
       auto rs = MustExec("SELECT COUNT(*) FROM V WHERE class = '" + label + "'");
       ASSERT_EQ(rs.rows.size(), 1u);
       auto sql_count = rs.Int64At(0, 0);
       auto published = pin->AllMembersCount(sign);
-      auto scanned = pin->ScanCount(sign);
       auto api = view->CountOf(label);
-      ASSERT_TRUE(sql_count.ok() && published.ok() && scanned.ok() && api.ok());
-      EXPECT_EQ(static_cast<uint64_t>(*sql_count), oracle[i]) << label;
-      EXPECT_EQ(*published, oracle[i]) << label;
-      EXPECT_EQ(*scanned, oracle[i]) << label;
-      EXPECT_EQ(*api, oracle[i]) << label;
-      total += *published;
+      ASSERT_TRUE(sql_count.ok() && published.ok() && api.ok());
+      EXPECT_EQ(static_cast<uint64_t>(*sql_count), oracle[i].size()) << label;
+      EXPECT_EQ(*published, oracle[i].size()) << label;
+      EXPECT_EQ(*api, oracle[i].size()) << label;
+
+      rs = MustExec("SELECT id FROM V WHERE class = '" + label + "'");
+      std::vector<int64_t> sql_ids;
+      for (size_t r = 0; r < rs.rows.size(); ++r) {
+        auto id = rs.Int64At(r, 0);
+        ASSERT_TRUE(id.ok());
+        sql_ids.push_back(*id);
+      }
+      auto snap_ids = pin->AllMembers(sign);
+      auto api_ids = view->MembersOf(label);
+      ASSERT_TRUE(snap_ids.ok() && api_ids.ok());
+      // Published labels come in the view's clustering order, the order of
+      // its own All Members.
+      if (eager) {
+        EXPECT_EQ(*snap_ids, *api_ids) << label;
+      }
+      members[i] = *snap_ids;
+      for (auto* ids : {&sql_ids, &*snap_ids, &*api_ids}) {
+        std::sort(ids->begin(), ids->end());
+        EXPECT_EQ(*ids, oracle[i]) << label;
+      }
     }
-    EXPECT_EQ(total, pin->num_entities());
-    // Nothing above published: the SQL COUNTs read the pinned epoch.
+    // The two label sets partition the epoch's ids.
+    std::vector<int64_t> all = members[0];
+    all.insert(all.end(), members[1].begin(), members[1].end());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+    EXPECT_EQ(all.size(), pin->num_entities());
+    for (int64_t id : all) EXPECT_NE(pin->store().Find(id), nullptr) << id;
+    // Nothing above published: the SQL reads used the pinned epoch.
     EXPECT_EQ(view->epochs().latest_epoch(), pin->epoch());
+  }
+
+  /// Creates E/L/X, loads kInitialEntities entities and creates V over them.
+  void CreateView() {
+    MustExec("CREATE TABLE E (id INT PRIMARY KEY, vec TEXT)");
+    MustExec("CREATE TABLE L (label TEXT)");
+    MustExec("INSERT INTO L VALUES ('POS'), ('NEG')");
+    MustExec("CREATE TABLE X (id INT PRIMARY KEY, label TEXT)");
+    std::string load = "INSERT INTO E VALUES ";
+    for (int64_t id = 0; id < kInitialEntities; ++id) {
+      if (id > 0) load += ", ";
+      load += EntityTuple(id, 1.0 / kDim);
+    }
+    MustExec(load);
+    entities_ = kInitialEntities;
+
+    ClassificationViewDef def;
+    def.view_name = "V";
+    def.entity_table = "E";
+    def.entity_key = "id";
+    def.entity_text_columns = {"vec"};
+    def.label_table = "L";
+    def.label_column = "label";
+    def.example_table = "X";
+    def.example_key = "id";
+    def.example_label = "label";
+    def.feature_function = "dense_vector";
+    def.method_specified = true;
+    def.architecture = GetParam().arch;
+    def.mode = GetParam().mode;
+    ASSERT_TRUE(db_->CreateClassificationView(def).ok());
   }
 
   uint64_t Reorgs() {
@@ -576,34 +640,9 @@ class CountDifferentialTest : public ::testing::TestWithParam<ArchMode> {
 };
 
 TEST_P(CountDifferentialTest, EveryCountPathMatchesOracleAtEveryBoundary) {
-  MustExec("CREATE TABLE E (id INT PRIMARY KEY, vec TEXT)");
-  MustExec("CREATE TABLE L (label TEXT)");
-  MustExec("INSERT INTO L VALUES ('POS'), ('NEG')");
-  MustExec("CREATE TABLE X (id INT PRIMARY KEY, label TEXT)");
-  std::string load = "INSERT INTO E VALUES ";
-  for (int64_t id = 0; id < kInitialEntities; ++id) {
-    if (id > 0) load += ", ";
-    load += EntityTuple(id, 1.0 / kDim);
-  }
-  MustExec(load);
-  entities_ = kInitialEntities;
-
-  ClassificationViewDef def;
-  def.view_name = "V";
-  def.entity_table = "E";
-  def.entity_key = "id";
-  def.entity_text_columns = {"vec"};
-  def.label_table = "L";
-  def.label_column = "label";
-  def.example_table = "X";
-  def.example_key = "id";
-  def.example_label = "label";
-  def.feature_function = "dense_vector";
-  def.method_specified = true;
-  def.architecture = GetParam().arch;
-  def.mode = GetParam().mode;
-  ASSERT_TRUE(db_->CreateClassificationView(def).ok());
-  CheckCounts("create");
+  CreateView();
+  if (HasFatalFailure()) return;
+  CheckReads("create");
 
   // Examples label a shuffled prefix of the initial entities.
   std::vector<int64_t> unlabeled;
@@ -669,9 +708,74 @@ TEST_P(CountDifferentialTest, EveryCountPathMatchesOracleAtEveryBoundary) {
           break;
       }
     }
-    CheckCounts(name);
+    CheckReads(name);
     if (HasFatalFailure()) return;
   }
+}
+
+// Epoch isolation: a pinned epoch keeps answering its own All Members,
+// element for element, while later batches add entities, reorganize the
+// view and retrain it; the ids array it shares with the view is replaced
+// by later epochs, never mutated in place.
+TEST_P(CountDifferentialTest, PinnedEpochKeepsItsMembersAcrossLaterBatches) {
+  CreateView();
+  if (HasFatalFailure()) return;
+  for (int64_t id = 0; id < 40; ++id) {
+    MustExec("INSERT INTO X VALUES " + ExampleTuple(id));
+  }
+  auto got = db_->GetView("V");
+  ASSERT_TRUE(got.ok());
+  ManagedView* view = *got;
+  core::SnapshotPin pin = view->PinSnapshot();
+  ASSERT_TRUE(pin);
+  const std::vector<int64_t> before_pos = *pin->AllMembers(1);
+  const std::vector<int64_t> before_neg = *pin->AllMembers(-1);
+  ASSERT_EQ(before_pos.size() + before_neg.size(), pin->num_entities());
+  std::shared_ptr<const std::vector<int64_t>> ids;
+  std::vector<int64_t> ids_copy;
+  if (pin->labels() != nullptr) {
+    ids = pin->labels()->ids;
+    ids_copy = *ids;
+  }
+
+  auto expect_unchanged = [&](const std::string& step) {
+    SCOPED_TRACE(step);
+    EXPECT_GT(view->epochs().latest_epoch(), pin->epoch());
+    EXPECT_EQ(*pin->AllMembers(1), before_pos);
+    EXPECT_EQ(*pin->AllMembers(-1), before_neg);
+    EXPECT_EQ(*pin->AllMembersCount(1), before_pos.size());
+    EXPECT_EQ(*pin->AllMembersCount(-1), before_neg.size());
+    if (ids != nullptr) {
+      EXPECT_EQ(pin->labels()->ids, ids);
+      EXPECT_EQ(*ids, ids_copy);
+      core::SnapshotPin latest = view->PinSnapshot();
+      ASSERT_NE(latest->labels(), nullptr);
+      if (latest->num_entities() != pin->num_entities()) {
+        EXPECT_NE(latest->labels()->ids, ids);
+      }
+    }
+  };
+
+  MustExec("INSERT INTO E VALUES " + EntityTuple(entities_++, 1.0 / kDim));
+  std::string batch = "INSERT INTO E VALUES ";
+  batch += EntityTuple(entities_++, 1.0 / kDim) + ", ";
+  batch += EntityTuple(entities_++, 1.0 / kDim);
+  MustExec(batch);
+  expect_unchanged("entity inserts");
+  const uint64_t reorgs = Reorgs();
+  MustExec("INSERT INTO E VALUES " + EntityTuple(entities_++, 3.0));
+  if (GetParam().arch == core::Architecture::kHazyMM) {
+    EXPECT_GT(Reorgs(), reorgs) << "the large-norm entity did not reorganize";
+  }
+  expect_unchanged("reorganization");
+  MustExec("DELETE FROM X WHERE id = 0");
+  expect_unchanged("retrain");
+  batch = "INSERT INTO X VALUES ";
+  batch += ExampleTuple(40) + ", ";
+  batch += ExampleTuple(41);
+  MustExec(batch);
+  expect_unchanged("example batch");
+  CheckReads("latest epoch");
 }
 
 constexpr ArchMode kMainMemoryArchModes[] = {

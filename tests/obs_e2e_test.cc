@@ -67,7 +67,7 @@ class ObsEndToEndTest : public ::testing::Test {
     return rs.ok() ? *rs : sql::ResultSet{};
   }
 
-  void SetUpCorpus(const std::string& arch) {
+  void SetUpCorpus(const std::string& arch, const std::string& mode = "LAZY") {
     MustExec("CREATE TABLE Papers (id INT PRIMARY KEY, title TEXT)");
     MustExec("CREATE TABLE Areas (label TEXT)");
     MustExec("INSERT INTO Areas VALUES ('DB'), ('OTHER')");
@@ -86,7 +86,7 @@ class ObsEndToEndTest : public ::testing::Test {
         "LABELS FROM Areas LABEL label "
         "EXAMPLES FROM Examples KEY id LABEL label "
         "FEATURE FUNCTION tf_bag_of_words USING SVM "
-        "ARCHITECTURE " + arch + " MODE LAZY");
+        "ARCHITECTURE " + arch + " MODE " + mode);
     MustExec(
         "INSERT INTO Examples VALUES "
         "(0, 'DB'), (1, 'DB'), (2, 'DB'), "
@@ -191,6 +191,38 @@ TEST_F(ObsEndToEndTest, ExplainTraceShowsSpanTree) {
   // bound): anything else means untraced time is hiding in the statement.
   EXPECT_GE(parse_ms + execute_ms, 0.9 * root_ms);
   EXPECT_LE(parse_ms + execute_ms, root_ms + 1e-6);
+}
+
+// An All Members read names the algorithm that answered it: an eager
+// Hazy-MM epoch carries the view's materialized labels, so the read is a
+// view.eager_read that scores no tuple; a lazy one scores the pinned
+// epoch's store (snapshot.scan) and counts every entity it scored.
+TEST_F(ObsEndToEndTest, AllMembersSpanNamesTheReadAlgorithm) {
+  for (const char* mode : {"EAGER", "LAZY"}) {
+    SCOPED_TRACE(mode);
+    db_ = std::make_unique<engine::Database>();
+    ASSERT_TRUE(db_->Open().ok());
+    exec_ = std::make_unique<sql::Executor>(db_.get());
+    SetUpCorpus("HAZY_MM", mode);
+    const bool eager = std::string(mode) == "EAGER";
+
+    const double scanned_before =
+        FamilyTotal(MustExec("SHOW METRICS"), "hazy_view_tuples_scanned_total");
+    auto trace = MustExec("EXPLAIN TRACE SELECT id FROM V WHERE class = 'DB'");
+    bool saw_eager_read = false, saw_scan = false;
+    for (size_t i = 0; i < trace.rows.size(); ++i) {
+      auto span = trace.TextAt(i, 1);
+      ASSERT_TRUE(span.ok());
+      if (*span == "view.eager_read") saw_eager_read = true;
+      if (*span == "snapshot.scan") saw_scan = true;
+    }
+    EXPECT_EQ(saw_eager_read, eager);
+    EXPECT_EQ(saw_scan, !eager);
+    const double scanned =
+        FamilyTotal(MustExec("SHOW METRICS"), "hazy_view_tuples_scanned_total") -
+        scanned_before;
+    EXPECT_EQ(scanned, eager ? 0.0 : 6.0);
+  }
 }
 
 TEST_F(ObsEndToEndTest, ShowTraceReportsPreviousStatement) {
