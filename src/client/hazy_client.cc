@@ -61,15 +61,14 @@ HazyClient::~HazyClient() {
 Status HazyClient::Handshake(const std::string& client_name) {
   std::string payload;
   rpc::EncodeHelloPayload(rpc::kProtocolVersion, client_name, &payload);
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kHello, payload));
-  if (reply.opcode != rpc::Opcode::kHelloOk) {
-    return Status::Internal(StrFormat("HELLO answered with %s",
-                                      rpc::OpcodeName(reply.opcode)));
-  }
+  std::string raw;
+  rpc::FrameView reply;
+  HAZY_RETURN_NOT_OK(
+      RoundTrip(rpc::Opcode::kHello, payload, rpc::Opcode::kHelloOk, &raw, &reply));
   uint32_t server_version = 0;
   HAZY_RETURN_NOT_OK(
       rpc::DecodeHelloPayload(reply.payload, &server_version, &server_name_));
-  if (server_version > rpc::kProtocolVersion) {
+  if (server_version != rpc::kProtocolVersion) {
     return Status::NotSupported(StrFormat(
         "server speaks protocol %u, client speaks %u", server_version,
         rpc::kProtocolVersion));
@@ -102,6 +101,12 @@ StatusOr<std::string> HazyClient::ReadFrameBytes() {
       return Status::Corruption(StrFormat("bad frame from server: %s", error.c_str()));
     }
     if (rc == rpc::FrameDecode::kFrame) {
+      // A synchronous client's buffer usually holds exactly this reply.
+      if (frame_bytes == recv_buf_.size()) {
+        std::string raw = std::move(recv_buf_);
+        recv_buf_.clear();
+        return raw;
+      }
       std::string raw = recv_buf_.substr(0, frame_bytes);
       recv_buf_.erase(0, frame_bytes);
       return raw;
@@ -157,37 +162,42 @@ StatusOr<std::string> HazyClient::RoundTripRaw(rpc::Opcode op,
   return raw;
 }
 
-StatusOr<rpc::Frame> HazyClient::RoundTrip(rpc::Opcode op,
-                                           std::string_view payload) {
-  HAZY_ASSIGN_OR_RETURN(std::string raw, RoundTripRaw(op, payload));
-  rpc::FrameView view;
+Status HazyClient::RoundTrip(rpc::Opcode op, std::string_view payload,
+                             rpc::Opcode expect, std::string* raw,
+                             rpc::FrameView* reply) {
+  HAZY_ASSIGN_OR_RETURN(*raw, RoundTripRaw(op, payload));
   size_t frame_bytes = 0;
-  if (rpc::TryDecodeFrame(raw, &view, &frame_bytes, nullptr) !=
+  if (rpc::TryDecodeFrame(*raw, reply, &frame_bytes, nullptr) !=
       rpc::FrameDecode::kFrame) {
     return Status::Corruption("undecodable response frame");
   }
-  if (view.opcode == rpc::Opcode::kError || view.opcode == rpc::Opcode::kBusy) {
-    return rpc::DecodeErrorPayload(view.payload);
+  if (reply->opcode == rpc::Opcode::kError || reply->opcode == rpc::Opcode::kBusy) {
+    return rpc::DecodeErrorPayload(reply->payload);
   }
-  return rpc::Frame::Copy(view);
+  if (reply->opcode != expect) {
+    return Status::Internal(StrFormat("%s answered with %s", rpc::OpcodeName(op),
+                                      rpc::OpcodeName(reply->opcode)));
+  }
+  return Status::OK();
 }
 
-StatusOr<sql::ResultSet> HazyClient::Query(const std::string& sql) {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kQuery, sql));
-  if (reply.opcode != rpc::Opcode::kResult) {
-    return Status::Internal(StrFormat("QUERY answered with %s",
-                                      rpc::OpcodeName(reply.opcode)));
-  }
+StatusOr<sql::ResultSet> HazyClient::ResultRoundTrip(rpc::Opcode op,
+                                                     std::string_view payload) {
+  std::string raw;
+  rpc::FrameView reply;
+  HAZY_RETURN_NOT_OK(RoundTrip(op, payload, rpc::Opcode::kResult, &raw, &reply));
   return sql::ResultSet::Decode(reply.payload);
 }
 
+StatusOr<sql::ResultSet> HazyClient::Query(const std::string& sql) {
+  return ResultRoundTrip(rpc::Opcode::kQuery, sql);
+}
+
 StatusOr<PreparedHandle> HazyClient::Prepare(const std::string& sql_template) {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply,
-                        RoundTrip(rpc::Opcode::kPrepare, sql_template));
-  if (reply.opcode != rpc::Opcode::kPrepared) {
-    return Status::Internal(StrFormat("PREPARE answered with %s",
-                                      rpc::OpcodeName(reply.opcode)));
-  }
+  std::string raw;
+  rpc::FrameView reply;
+  HAZY_RETURN_NOT_OK(RoundTrip(rpc::Opcode::kPrepare, sql_template,
+                               rpc::Opcode::kPrepared, &raw, &reply));
   PreparedHandle handle;
   HAZY_RETURN_NOT_OK(
       rpc::DecodePreparedPayload(reply.payload, &handle.id, &handle.num_params));
@@ -203,55 +213,34 @@ StatusOr<sql::ResultSet> HazyClient::ExecPrepared(
   }
   std::string payload;
   rpc::EncodeExecPayload(handle.id, params, &payload);
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply,
-                        RoundTrip(rpc::Opcode::kExecPrepared, payload));
-  if (reply.opcode != rpc::Opcode::kResult) {
-    return Status::Internal(StrFormat("EXEC_PREPARED answered with %s",
-                                      rpc::OpcodeName(reply.opcode)));
-  }
-  return sql::ResultSet::Decode(reply.payload);
+  return ResultRoundTrip(rpc::Opcode::kExecPrepared, payload);
 }
 
 Status HazyClient::CloseStmt(const PreparedHandle& handle) {
   std::string payload;
   rpc::EncodeCloseStmtPayload(handle.id, &payload);
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply,
-                        RoundTrip(rpc::Opcode::kCloseStmt, payload));
-  if (reply.opcode != rpc::Opcode::kStmtClosed) {
-    return Status::Internal(StrFormat("CLOSE_STMT answered with %s",
-                                      rpc::OpcodeName(reply.opcode)));
-  }
-  return Status::OK();
+  std::string raw;
+  rpc::FrameView reply;
+  return RoundTrip(rpc::Opcode::kCloseStmt, payload, rpc::Opcode::kStmtClosed,
+                   &raw, &reply);
 }
 
 StatusOr<sql::ResultSet> HazyClient::Stats(const std::string& like) {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kStats, like));
-  if (reply.opcode != rpc::Opcode::kResult) {
-    return Status::Internal(StrFormat("STATS answered with %s",
-                                      rpc::OpcodeName(reply.opcode)));
-  }
-  return sql::ResultSet::Decode(reply.payload);
+  return ResultRoundTrip(rpc::Opcode::kStats, like);
 }
 
 Status HazyClient::Ping() {
-  HAZY_ASSIGN_OR_RETURN(rpc::Frame reply, RoundTrip(rpc::Opcode::kPing, {}));
-  if (reply.opcode != rpc::Opcode::kPong) {
-    return Status::Internal(StrFormat("PING answered with %s",
-                                      rpc::OpcodeName(reply.opcode)));
-  }
-  return Status::OK();
+  std::string raw;
+  rpc::FrameView reply;
+  return RoundTrip(rpc::Opcode::kPing, {}, rpc::Opcode::kPong, &raw, &reply);
 }
 
 Status HazyClient::Close() {
   if (closed_) return Status::OK();
-  Status s = Status::OK();
-  auto reply = RoundTrip(rpc::Opcode::kGoodbye, {});
-  if (!reply.ok()) {
-    s = reply.status();
-  } else if (reply->opcode != rpc::Opcode::kGoodbyeOk) {
-    s = Status::Internal(StrFormat("GOODBYE answered with %s",
-                                   rpc::OpcodeName(reply->opcode)));
-  }
+  std::string raw;
+  rpc::FrameView reply;
+  const Status s =
+      RoundTrip(rpc::Opcode::kGoodbye, {}, rpc::Opcode::kGoodbyeOk, &raw, &reply);
   closed_ = true;
   if (fd_ >= 0) {
     ::close(fd_);

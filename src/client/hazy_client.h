@@ -91,8 +91,12 @@ class HazyClient {
 
   Status Handshake(const std::string& client_name);
 
-  /// RoundTripRaw + decode + ERROR/BUSY → Status.
-  StatusOr<rpc::Frame> RoundTrip(rpc::Opcode op, std::string_view payload);
+  /// RoundTripRaw + ERROR/BUSY → Status; any reply other than `expect` is
+  /// Internal. *reply aliases *raw.
+  Status RoundTrip(rpc::Opcode op, std::string_view payload, rpc::Opcode expect,
+                   std::string* raw, rpc::FrameView* reply);
+  /// RoundTrip expecting RESULT, decoded straight from the received frame.
+  StatusOr<sql::ResultSet> ResultRoundTrip(rpc::Opcode op, std::string_view payload);
 
   /// Socket transport internals (no-ops for loopback).
   Status SendAll(std::string_view bytes);

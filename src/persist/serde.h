@@ -46,6 +46,8 @@ class StateWriter {
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v) { storage::PutDouble(out_, v); }
   void PutString(std::string_view s) { storage::PutLengthPrefixed(out_, s); }
+  /// Raw bytes, no length prefix (the reader must know the count).
+  void PutBytes(std::string_view s) { out_->append(s.data(), s.size()); }
   void PutTag(uint32_t tag) { PutU32(tag); }
 
   void PutDoubleVec(const std::vector<double>& v);
@@ -74,6 +76,8 @@ class StateReader {
   Status GetI64(int64_t* v);
   Status GetDouble(double* v);
   Status GetString(std::string* v);
+  /// The next `n` raw bytes, aliasing the blob.
+  Status GetBytes(uint64_t n, std::string_view* v);
   Status ExpectTag(uint32_t tag);
 
   Status GetDoubleVec(std::vector<double>* v);

@@ -75,6 +75,12 @@ void EncodeFrame(Opcode opcode, uint32_t request_id, std::string_view payload,
   out->append(payload.data(), payload.size());
 }
 
+void FinishFrame(Opcode opcode, uint32_t request_id, std::string* frame) {
+  storage::EncodeFixed32(frame->data(), static_cast<uint32_t>(frame->size() - 4));
+  (*frame)[4] = static_cast<char>(opcode);
+  storage::EncodeFixed32(frame->data() + 5, request_id);
+}
+
 FrameDecode TryDecodeFrame(std::string_view buf, FrameView* frame,
                            size_t* frame_bytes, std::string* error) {
   if (buf.size() < 4) return FrameDecode::kNeedMore;

@@ -29,9 +29,10 @@
 
 namespace hazy::rpc {
 
-/// Protocol revision sent in HELLO; the server rejects clients that speak a
-/// newer major revision than it does.
-constexpr uint32_t kProtocolVersion = 1;
+/// Protocol revision sent in HELLO; the server accepts only this revision.
+/// 2: RESULT payloads carry typed column blocks instead of one tagged value
+/// per cell (sql/result_set.h).
+constexpr uint32_t kProtocolVersion = 2;
 
 /// u32 length + u8 opcode + u32 request id.
 constexpr size_t kFrameHeaderBytes = 9;
@@ -93,6 +94,11 @@ struct Frame {
 /// Appends one encoded frame to *out.
 void EncodeFrame(Opcode opcode, uint32_t request_id, std::string_view payload,
                  std::string* out);
+
+/// Completes a frame whose payload was appended after kFrameHeaderBytes of
+/// room at the start of *frame: writes the header in place, so a large
+/// payload is encoded once, straight into the frame.
+void FinishFrame(Opcode opcode, uint32_t request_id, std::string* frame);
 
 /// Result of attempting to decode a frame from the front of a buffer.
 enum class FrameDecode {

@@ -27,13 +27,8 @@ std::string Session::BusyFrame(uint32_t request_id) {
 }
 
 std::string Session::StatsFrame(const rpc::FrameView& frame) {
-  sql::ResultSet rs = sql::MetricsResultSet(std::string(frame.payload));
-  std::string payload;
-  Status s = rs.Encode(&payload);
-  if (!s.ok()) return ErrorFrame(frame.request_id, s);
-  std::string out;
-  rpc::EncodeFrame(rpc::Opcode::kResult, frame.request_id, payload, &out);
-  return out;
+  return ResultFrame(frame.request_id,
+                     sql::MetricsResultSet(std::string(frame.payload)));
 }
 
 std::string Session::ErrorFrame(uint32_t request_id, const Status& status) {
@@ -51,11 +46,10 @@ std::string Session::EmptyFrame(rpc::Opcode op, uint32_t request_id) {
 }
 
 std::string Session::ResultFrame(uint32_t request_id, const sql::ResultSet& rs) {
-  std::string payload;
-  Status s = rs.Encode(&payload);
+  std::string frame(rpc::kFrameHeaderBytes, '\0');
+  Status s = rs.Encode(&frame);
   if (!s.ok()) return ErrorFrame(request_id, s);
-  std::string frame;
-  rpc::EncodeFrame(rpc::Opcode::kResult, request_id, payload, &frame);
+  rpc::FinishFrame(rpc::Opcode::kResult, request_id, &frame);
   return frame;
 }
 
@@ -101,7 +95,9 @@ std::string Session::HandleLocked(const rpc::FrameView& frame, bool* close_after
       std::string client_name;
       Status s = rpc::DecodeHelloPayload(frame.payload, &version, &client_name);
       if (!s.ok()) return ErrorFrame(frame.request_id, s);
-      if (version > rpc::kProtocolVersion) {
+      // A RESULT payload of another revision would not decode, so refuse
+      // the mismatch here rather than with Corruption on the first reply.
+      if (version != rpc::kProtocolVersion) {
         return ErrorFrame(
             frame.request_id,
             Status::NotSupported(StrFormat(

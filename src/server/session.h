@@ -52,7 +52,8 @@ class Session {
   // Frame builders (each returns one fully encoded frame).
   static std::string ErrorFrame(uint32_t request_id, const Status& status);
   static std::string EmptyFrame(rpc::Opcode op, uint32_t request_id);
-  std::string ResultFrame(uint32_t request_id, const sql::ResultSet& rs);
+  /// Encodes rs straight after the frame header (no separate payload copy).
+  static std::string ResultFrame(uint32_t request_id, const sql::ResultSet& rs);
 
   /// Runs one statement under the database-wide statement mutex (the engine
   /// is single-writer; see Database::statement_mutex()).

@@ -210,13 +210,14 @@ const char* SyncModeName(storage::WalOptions::SyncMode mode) {
   return "?";
 }
 
-ResultSet PragmaRow(const std::string& name, storage::Value value) {
+ResultSet PragmaRow(const std::string& name, const storage::Value& value) {
   ResultSet rs;
   storage::ColumnType value_type = storage::ColumnType::kText;
   if (std::holds_alternative<int64_t>(value)) value_type = storage::ColumnType::kInt64;
   if (std::holds_alternative<double>(value)) value_type = storage::ColumnType::kDouble;
-  rs.columns = {{"pragma", storage::ColumnType::kText}, {"value", value_type}};
-  rs.rows.push_back(storage::Row{name, std::move(value)});
+  rs.SetColumns({{"pragma", storage::ColumnType::kText}, {"value", value_type}});
+  rs.rows.AppendText(0, name);
+  HAZY_CHECK_OK(rs.rows.AppendValue(1, value));  // the column has the value's type
   return rs;
 }
 
@@ -443,87 +444,80 @@ StatusOr<ResultSet> Executor::ExecSelectView(const SelectStmt& stmt,
 
 namespace {
 
-/// A SELECT's projection over a view's (key INT, class TEXT) schema, resolved
-/// once per statement so building a row compares no column names.
-class ViewProjection {
- public:
-  static StatusOr<ViewProjection> Resolve(const SelectStmt& stmt,
-                                          const engine::ManagedView& view) {
-    ViewProjection p;
-    p.stmt_ = &stmt;
-    const std::string& key_col = view.def().entity_key;
-    p.names_ = stmt.columns;
-    if (p.names_.empty() && !stmt.count_star) p.names_ = {key_col, "class"};
-    for (const auto& col : p.names_) {
-      const bool is_key = EqualsIgnoreCase(col, key_col);
-      if (!is_key && !EqualsIgnoreCase(col, "class")) {
-        return Status::InvalidArgument(StrFormat(
-            "view %s has columns (%s, class); no column '%s'",
-            view.name().c_str(), key_col.c_str(), col.c_str()));
-      }
-      p.is_key_.push_back(is_key);
-    }
-    return p;
-  }
+/// Rows a SELECT may still add to `rs` under its LIMIT. Every SELECT path
+/// asks before it appends, so LIMIT 0 returns no rows.
+size_t RowsLeft(const SelectStmt& stmt, const ResultSet& rs) {
+  if (!stmt.limit.has_value()) return SIZE_MAX;
+  const size_t limit = static_cast<size_t>(*stmt.limit);
+  return limit > rs.rows.size() ? limit - rs.rows.size() : 0;
+}
 
-  /// Appends one (id, label) row in projection order.
-  void Emit(int64_t id, const std::string& label, ResultSet* rs) const {
-    Row row;
-    row.reserve(is_key_.size());
-    for (bool is_key : is_key_) {
-      if (is_key) {
-        row.emplace_back(id);
-      } else {
-        row.emplace_back(label);
-      }
-    }
-    rs->rows.push_back(std::move(row));
-  }
-
-  /// True once rs holds the statement's LIMIT of rows.
-  bool Full(const ResultSet& rs) const {
-    return stmt_->limit.has_value() &&
-           rs.rows.size() >= static_cast<size_t>(*stmt_->limit);
-  }
-
-  /// Appends a row per member id, all labeled `label`, up to the LIMIT.
-  void EmitMembers(const std::vector<int64_t>& ids, const std::string& label,
-                   ResultSet* rs) const {
-    size_t n = ids.size();
-    if (stmt_->limit.has_value()) {
-      n = std::min(n, static_cast<size_t>(*stmt_->limit));
-    }
-    rs->rows.reserve(rs->rows.size() + n);
-    for (int64_t id : ids) {
-      Emit(id, label, rs);
-      if (Full(*rs)) break;
-    }
-  }
-
-  /// Completes rs: one COUNT row for COUNT(*), else the column descriptors.
-  void Finish(ResultSet* rs) const {
-    if (stmt_->count_star) {
-      rs->columns = {{"count", storage::ColumnType::kInt64}};
-      rs->rows = {Row{static_cast<int64_t>(rs->rows.size())}};
-      return;
-    }
-    for (size_t i = 0; i < names_.size(); ++i) {
-      rs->columns.push_back({names_[i], is_key_[i] ? storage::ColumnType::kInt64
-                                                   : storage::ColumnType::kText});
-    }
-  }
-
- private:
-  const SelectStmt* stmt_ = nullptr;
-  std::vector<std::string> names_;
-  std::vector<bool> is_key_;
-};
-
-ResultSet CountResult(uint64_t n) {
+/// COUNT(*)'s one-row result; the LIMIT applies to that row.
+ResultSet CountResult(const SelectStmt& stmt, uint64_t n) {
   ResultSet rs;
-  rs.columns = {{"count", storage::ColumnType::kInt64}};
-  rs.rows.push_back(Row{static_cast<int64_t>(n)});
+  rs.SetColumns({{"count", storage::ColumnType::kInt64}});
+  if (RowsLeft(stmt, rs) > 0) rs.rows.AppendInt64(0, static_cast<int64_t>(n));
   return rs;
+}
+
+/// Lays out the result columns of a SELECT over a view's (key INT, class
+/// TEXT) schema. The layout is the projection: each INT column selects the
+/// key and each TEXT column the class. COUNT(*) lays out nothing here.
+StatusOr<ResultSet> ViewResult(const SelectStmt& stmt, const engine::ManagedView& view) {
+  ResultSet rs;
+  if (stmt.count_star) return rs;
+  const std::string& key_col = view.def().entity_key;
+  std::vector<ColumnDesc> columns;
+  if (stmt.columns.empty()) {
+    columns = {{key_col, storage::ColumnType::kInt64}, {"class", storage::ColumnType::kText}};
+  }
+  for (const auto& col : stmt.columns) {
+    const bool is_key = EqualsIgnoreCase(col, key_col);
+    if (!is_key && !EqualsIgnoreCase(col, "class")) {
+      return Status::InvalidArgument(
+          StrFormat("view %s has columns (%s, class); no column '%s'",
+                    view.name().c_str(), key_col.c_str(), col.c_str()));
+    }
+    columns.push_back(
+        {col, is_key ? storage::ColumnType::kInt64 : storage::ColumnType::kText});
+  }
+  rs.SetColumns(std::move(columns));
+  return rs;
+}
+
+/// Appends one (id, label) row unless the LIMIT is reached; false once the
+/// result is full.
+bool EmitRow(const SelectStmt& stmt, int64_t id, std::string_view label, ResultSet* rs) {
+  if (RowsLeft(stmt, *rs) == 0) return false;
+  for (size_t c = 0; c < rs->rows.num_columns(); ++c) {
+    if (rs->rows.type(c) == storage::ColumnType::kInt64) {
+      rs->rows.AppendInt64(c, id);
+    } else {
+      rs->rows.AppendText(c, label);
+    }
+  }
+  return RowsLeft(stmt, *rs) > 0;
+}
+
+/// Appends the member ids, cut to the LIMIT, into each key column (the last
+/// one takes the vector over) and `label` into each class column.
+void EmitMembers(const SelectStmt& stmt, std::vector<int64_t> ids,
+                 std::string_view label, ResultSet* rs) {
+  ids.resize(std::min(ids.size(), RowsLeft(stmt, *rs)));
+  const size_t n = ids.size();
+  size_t last_key = 0;
+  for (size_t c = 0; c < rs->rows.num_columns(); ++c) {
+    if (rs->rows.type(c) == storage::ColumnType::kInt64) last_key = c;
+  }
+  for (size_t c = 0; c < rs->rows.num_columns(); ++c) {
+    if (rs->rows.type(c) != storage::ColumnType::kInt64) {
+      rs->rows.AppendTextRepeated(c, label, n);
+    } else if (c == last_key) {
+      rs->rows.AppendInt64s(c, std::move(ids));
+    } else {
+      rs->rows.AppendInt64s(c, ids);
+    }
+  }
 }
 
 }  // namespace
@@ -531,7 +525,6 @@ ResultSet CountResult(uint64_t n) {
 StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     const SelectStmt& stmt, engine::ManagedView* view,
     const core::EpochSnapshot& snap) {
-  ResultSet rs;
   const std::string& key_col = view->def().entity_key;
   // The answers come from the pinned epoch, but the work is still this
   // view's read traffic: feed its stats (relaxed cells, safe concurrent
@@ -539,7 +532,7 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
   // would, so SHOW METRICS / EXPLAIN TRACE see one coherent story.
   std::shared_ptr<core::ClassificationView> live = view->SharedView();
   core::ViewStats* vstats = live->mutable_stats();
-  HAZY_ASSIGN_OR_RETURN(ViewProjection proj, ViewProjection::Resolve(stmt, *view));
+  HAZY_ASSIGN_OR_RETURN(ResultSet rs, ViewResult(stmt, *view));
   // An epoch carrying the view's materialized labels answers All Members
   // and COUNT without scoring anything; every other epoch scores its whole
   // store.
@@ -556,13 +549,10 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     int64_t id = std::get<int64_t>(stmt.where->value);
     ++vstats->single_reads;
     auto sign = snap.SingleEntityRead(id);
-    if (sign.status().IsNotFound()) {
-      // Empty result, not an error.
-    } else {
-      HAZY_RETURN_NOT_OK(sign.status());
-      if (stmt.count_star) return CountResult(1);
-      proj.Emit(id, view->LabelString(*sign), &rs);
-    }
+    // An unknown id is an empty result, not an error.
+    if (!sign.status().IsNotFound()) HAZY_RETURN_NOT_OK(sign.status());
+    if (stmt.count_star) return CountResult(stmt, sign.ok() ? 1 : 0);
+    if (sign.ok()) EmitRow(stmt, id, view->LabelString(*sign), &rs);
   } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
              stmt.where->op == CompareOp::kEq) {
     // All Members.
@@ -576,13 +566,13 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     if (!from_labels) vstats->tuples_scanned += snap.num_entities();
     if (stmt.count_star) {
       HAZY_ASSIGN_OR_RETURN(uint64_t n, snap.AllMembersCount(member_sign));
-      return CountResult(n);
+      return CountResult(stmt, n);
     }
     HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, snap.AllMembers(member_sign));
-    proj.EmitMembers(ids, label, &rs);
+    EmitMembers(stmt, std::move(ids), label, &rs);
   } else if (!stmt.where.has_value()) {
     // Every entity has exactly one label: the count is the epoch's size.
-    if (stmt.count_star) return CountResult(snap.num_entities());
+    if (stmt.count_star) return CountResult(stmt, snap.num_entities());
     // Full view scan: both classes.
     obs::TraceScope scan_span(members_span);
     std::vector<std::pair<int64_t, int>> all;
@@ -595,22 +585,19 @@ StatusOr<ResultSet> Executor::ExecSelectViewSnapshot(
     }
     std::sort(all.begin(), all.end());
     for (const auto& [id, sign] : all) {
-      proj.Emit(id, view->LabelString(sign), &rs);
-      if (proj.Full(rs)) break;
+      if (!EmitRow(stmt, id, view->LabelString(sign), &rs)) break;
     }
   } else {
     return Status::NotSupported(
         "view predicates must be '<key> = n' or \"class = 'label'\"");
   }
-  proj.Finish(&rs);
   return rs;
 }
 
 StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
                                                   engine::ManagedView* view) {
-  ResultSet rs;
   const std::string& key_col = view->def().entity_key;
-  HAZY_ASSIGN_OR_RETURN(ViewProjection proj, ViewProjection::Resolve(stmt, *view));
+  HAZY_ASSIGN_OR_RETURN(ResultSet rs, ViewResult(stmt, *view));
 
   if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, key_col) &&
       stmt.where->op == CompareOp::kEq) {
@@ -620,13 +607,10 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
     }
     int64_t id = std::get<int64_t>(stmt.where->value);
     auto label = view->LabelOf(id);
-    if (label.status().IsNotFound()) {
-      // Empty result, not an error.
-    } else {
-      HAZY_RETURN_NOT_OK(label.status());
-      if (stmt.count_star) return CountResult(1);
-      proj.Emit(id, *label, &rs);
-    }
+    // An unknown id is an empty result, not an error.
+    if (!label.status().IsNotFound()) HAZY_RETURN_NOT_OK(label.status());
+    if (stmt.count_star) return CountResult(stmt, label.ok() ? 1 : 0);
+    if (label.ok()) EmitRow(stmt, id, *label, &rs);
   } else if (stmt.where.has_value() && EqualsIgnoreCase(stmt.where->column, "class") &&
              stmt.where->op == CompareOp::kEq) {
     // All Members.
@@ -636,10 +620,10 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
     const std::string& label = std::get<std::string>(stmt.where->value);
     if (stmt.count_star) {
       HAZY_ASSIGN_OR_RETURN(uint64_t n, view->CountOf(label));
-      return CountResult(n);
+      return CountResult(stmt, n);
     }
     HAZY_ASSIGN_OR_RETURN(std::vector<int64_t> ids, view->MembersOf(label));
-    proj.EmitMembers(ids, label, &rs);
+    EmitMembers(stmt, std::move(ids), label, &rs);
   } else if (!stmt.where.has_value()) {
     // Full view scan: both classes.
     std::vector<std::pair<int64_t, int>> all;
@@ -648,17 +632,15 @@ StatusOr<ResultSet> Executor::ExecSelectViewGated(const SelectStmt& stmt,
                             view->view()->AllMembers(sign));
       for (int64_t id : ids) all.emplace_back(id, sign);
     }
-    if (stmt.count_star) return CountResult(all.size());
+    if (stmt.count_star) return CountResult(stmt, all.size());
     std::sort(all.begin(), all.end());
     for (const auto& [id, sign] : all) {
-      proj.Emit(id, view->LabelString(sign), &rs);
-      if (proj.Full(rs)) break;
+      if (!EmitRow(stmt, id, view->LabelString(sign), &rs)) break;
     }
   } else {
     return Status::NotSupported(
         "view predicates must be '<key> = n' or \"class = 'label'\"");
   }
-  proj.Finish(&rs);
   return rs;
 }
 
@@ -690,21 +672,22 @@ StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {
   const storage::Schema& schema = table->schema();
 
   std::vector<size_t> proj_idx;
-  ResultSet rs;
   if (!stmt.count_star) {
     if (stmt.columns.empty()) {
-      for (size_t i = 0; i < schema.num_columns(); ++i) {
-        proj_idx.push_back(i);
-        rs.columns.push_back({schema.column(i).name, schema.column(i).type});
-      }
+      for (size_t i = 0; i < schema.num_columns(); ++i) proj_idx.push_back(i);
     } else {
       for (const auto& col : stmt.columns) {
         HAZY_ASSIGN_OR_RETURN(size_t idx, schema.IndexOf(col));
         proj_idx.push_back(idx);
-        rs.columns.push_back({schema.column(idx).name, schema.column(idx).type});
       }
     }
   }
+  ResultSet rs;
+  std::vector<ColumnDesc> columns;
+  for (size_t idx : proj_idx) {
+    columns.push_back({schema.column(idx).name, schema.column(idx).type});
+  }
+  rs.SetColumns(std::move(columns));
 
   uint64_t count = 0;
   Status inner;
@@ -721,19 +704,16 @@ StatusOr<ResultSet> Executor::ExecSelectTable(const SelectStmt& stmt) {
       ++count;
       return true;
     }
-    Row out;
-    out.reserve(proj_idx.size());
-    for (size_t idx : proj_idx) out.push_back(row[idx]);
-    rs.rows.push_back(std::move(out));
-    return !(stmt.limit.has_value() &&
-             rs.rows.size() >= static_cast<size_t>(*stmt.limit));
+    if (RowsLeft(stmt, rs) == 0) return false;
+    for (size_t c = 0; c < proj_idx.size(); ++c) {
+      inner = rs.rows.AppendValue(c, row[proj_idx[c]]);
+      if (!inner.ok()) return false;
+    }
+    return RowsLeft(stmt, rs) > 0;
   }));
   HAZY_RETURN_NOT_OK(inner);
 
-  if (stmt.count_star) {
-    rs.columns = {{"count", storage::ColumnType::kInt64}};
-    rs.rows.push_back(Row{static_cast<int64_t>(count)});
-  }
+  if (stmt.count_star) return CountResult(stmt, count);
   return rs;
 }
 

@@ -328,6 +328,10 @@ StatusOr<Statement> ParseSelect(Cursor* c) {
       return Status::InvalidArgument("LIMIT expects an integer");
     }
     stmt.limit = std::strtoll(t.text.c_str(), nullptr, 10);
+    if (*stmt.limit < 0) {
+      return Status::InvalidArgument(StrFormat(
+          "LIMIT must not be negative, got %lld", static_cast<long long>(*stmt.limit)));
+    }
     c->Advance();
   }
   return Statement(std::move(stmt));

@@ -264,7 +264,7 @@ TEST_F(CheckpointDaemonTest, PragmaControlsDaemonAndWriter) {
     auto rs = exec.Execute(stmt);
     EXPECT_TRUE(rs.ok()) << stmt;
     EXPECT_EQ(rs->rows.size(), 1u);
-    return rs->rows[0][1];
+    return rs->rows.ValueAt(0, 1);
   };
 
   // Daemon off by default here; PRAGMA turns it on, configures, and stops it.

@@ -562,7 +562,7 @@ TEST_F(WalFileSizeTest, VacuumThroughSql) {
   EXPECT_NE(rs->message.find("vacuum complete"), std::string::npos);
   auto count = exec.Execute("SELECT COUNT(*) FROM t;");
   ASSERT_TRUE(count.ok());
-  EXPECT_EQ(std::get<int64_t>(count->rows[0][0]), 2);
+  EXPECT_EQ(count->Int64At(0, 0).ValueOrDie(), 2);
 }
 
 TEST_F(WalCrashInjectionTest, Version1SidecarAcceptedUnlessItNeedsLogicalReplay) {

@@ -1,9 +1,11 @@
 // Wire-protocol tests: frame encode/decode round-trips, rejection of torn /
 // oversized / garbage frames without crashing, request-id matching, payload
-// codecs, and the frozen Status wire-code table.
+// codecs, the frozen Status wire-code table, and the column-block codec of
+// RESULT payloads (sql::ResultSet).
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -257,6 +259,236 @@ TEST(StatusWireTest, BusyDecodesToResourceExhausted) {
             FrameDecode::kFrame);
   EXPECT_EQ(frame.opcode, Opcode::kBusy);
   EXPECT_TRUE(DecodeErrorPayload(frame.payload).IsResourceExhausted());
+}
+
+// --- RESULT payloads: sql::ResultSet column blocks ---------------------------
+
+using sql::ResultSet;
+using storage::ColumnType;
+
+// id INT, score REAL, name TEXT; NULLs in the last two when `with_nulls`.
+ResultSet MixedResult(bool with_nulls) {
+  ResultSet rs;
+  rs.SetColumns({{"id", ColumnType::kInt64},
+                 {"score", ColumnType::kDouble},
+                 {"name", ColumnType::kText}});
+  for (int64_t i = 0; i < 11; ++i) {
+    rs.rows.AppendInt64(0, i - 5);
+    if (with_nulls && i % 3 == 1) {
+      rs.rows.AppendNull(1);
+    } else {
+      rs.rows.AppendDouble(1, 0.5 * static_cast<double>(i));
+    }
+    if (with_nulls && i % 4 == 2) {
+      rs.rows.AppendNull(2);
+    } else {
+      rs.rows.AppendText(2, std::string(static_cast<size_t>(i), 'a' + i));
+    }
+  }
+  rs.message = "note";
+  return rs;
+}
+
+void ExpectSameResult(const ResultSet& a, const ResultSet& b) {
+  ASSERT_EQ(a.columns.size(), b.columns.size());
+  for (size_t c = 0; c < a.columns.size(); ++c) {
+    EXPECT_EQ(a.columns[c].name, b.columns[c].name);
+    EXPECT_EQ(a.columns[c].type, b.columns[c].type);
+  }
+  EXPECT_EQ(a.affected_rows, b.affected_rows);
+  EXPECT_EQ(a.message, b.message);
+  ASSERT_EQ(a.rows.size(), b.rows.size());
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    for (size_t c = 0; c < a.columns.size(); ++c) {
+      EXPECT_EQ(a.IsNull(r, c), b.IsNull(r, c)) << r << "," << c;
+      EXPECT_EQ(a.rows.ValueAt(r, c), b.rows.ValueAt(r, c)) << r << "," << c;
+    }
+  }
+}
+
+TEST(ResultSetCodecTest, RoundTripsEveryColumnType) {
+  for (bool with_nulls : {false, true}) {
+    const ResultSet rs = MixedResult(with_nulls);
+    std::string bytes;
+    ASSERT_TRUE(rs.Encode(&bytes).ok());
+    auto decoded = ResultSet::Decode(bytes);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectSameResult(rs, *decoded);
+    EXPECT_EQ(decoded->IsNull(1, 1), with_nulls);
+    EXPECT_EQ(decoded->IsNull(2, 2), with_nulls);
+    EXPECT_FALSE(decoded->IsNull(0, 0));
+    EXPECT_EQ(decoded->Int64At(10, 0).ValueOrDie(), 5);
+    EXPECT_EQ(decoded->DoubleAt(3, 1).ValueOrDie(), 1.5);
+    EXPECT_EQ(decoded->DoubleAt(3, 0).ValueOrDie(), -2.0);  // INT widens
+    EXPECT_EQ(decoded->TextAt(3, 2).ValueOrDie(), "ddd");
+    EXPECT_FALSE(decoded->TextAt(0, 0).ok());  // wrong type
+    EXPECT_FALSE(decoded->Int64At(11, 0).ok());  // past the end
+    std::string again;
+    ASSERT_TRUE(decoded->Encode(&again).ok());
+    EXPECT_EQ(again, bytes);
+  }
+}
+
+TEST(ResultSetCodecTest, NullsOnlyCostABitmapWhereTheyAre) {
+  ResultSet plain = MixedResult(false);
+  ResultSet cut = MixedResult(true);
+  // Cutting every NULL away leaves no bitmap: same bytes as never-NULL rows.
+  cut.rows.Truncate(1);
+  plain.rows.Truncate(1);
+  std::string a, b;
+  ASSERT_TRUE(plain.Encode(&a).ok());
+  ASSERT_TRUE(cut.Encode(&b).ok());
+  EXPECT_EQ(a, b);
+  // A NULL appended after a cut lands on its own row only.
+  cut.rows.AppendInt64(0, 1);
+  cut.rows.AppendDouble(1, 1.0);
+  cut.rows.AppendNull(2);
+  EXPECT_FALSE(cut.IsNull(0, 2));
+  EXPECT_TRUE(cut.IsNull(1, 2));
+  EXPECT_FALSE(cut.TextAt(1, 2).ok());
+}
+
+TEST(ResultSetCodecTest, ZeroRowsAndZeroColumns) {
+  ResultSet dml;
+  dml.affected_rows = 3;
+  dml.message = "3 rows inserted";
+  std::string bytes;
+  ASSERT_TRUE(dml.Encode(&bytes).ok());
+  auto decoded = ResultSet::Decode(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameResult(dml, *decoded);
+  EXPECT_TRUE(decoded->rows.empty());
+
+  ResultSet empty = MixedResult(true);
+  empty.rows.Truncate(0);
+  bytes.clear();
+  ASSERT_TRUE(empty.Encode(&bytes).ok());
+  decoded = ResultSet::Decode(bytes);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectSameResult(empty, *decoded);
+  EXPECT_EQ(decoded->columns.size(), 3u);
+}
+
+TEST(ResultSetCodecTest, UnequalColumnsAreInternal) {
+  ResultSet rs = MixedResult(false);
+  rs.rows.AppendInt64(0, 99);  // one column a row ahead
+  std::string bytes;
+  EXPECT_TRUE(rs.Encode(&bytes).IsInternal());
+  ResultSet undescribed;
+  undescribed.columns = {{"id", ColumnType::kInt64}};  // no typed column laid out
+  EXPECT_TRUE(undescribed.Encode(&bytes).IsInternal());
+}
+
+TEST(ResultSetCodecTest, Int64ColumnIsEightBytesPerRow) {
+  // Guards against a fallback to one tagged value per cell.
+  constexpr size_t kRows = 10000;
+  ResultSet rs;
+  rs.SetColumns({{"id", ColumnType::kInt64}});
+  std::vector<int64_t> ids(kRows);
+  for (size_t i = 0; i < kRows; ++i) ids[i] = static_cast<int64_t>(i * 7);
+  rs.rows.AppendInt64s(0, ids);
+  std::string bytes;
+  ASSERT_TRUE(rs.Encode(&bytes).ok());
+  EXPECT_LE(bytes.size(), 8 * kRows + 64);
+  auto decoded = ResultSet::Decode(bytes);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_EQ(decoded->rows.size(), kRows);
+  EXPECT_EQ(decoded->Int64At(kRows - 1, 0).ValueOrDie(), static_cast<int64_t>(7 * (kRows - 1)));
+}
+
+TEST(ResultSetCodecTest, EveryTruncationIsCorruption) {
+  std::string bytes;
+  ASSERT_TRUE(MixedResult(true).Encode(&bytes).ok());
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    auto decoded = ResultSet::Decode(std::string_view(bytes).substr(0, cut));
+    EXPECT_TRUE(decoded.status().IsCorruption()) << "prefix length " << cut;
+  }
+}
+
+// Byte offset of the row count in an encoding of `rs` (see result_set.h):
+// tag, version, column count, (name, type) per column, affected_rows and
+// the message come first.
+size_t RowCountOffset(const ResultSet& rs) {
+  size_t at = 4 + 1 + 4;
+  for (const auto& col : rs.columns) at += 4 + col.name.size() + 1;
+  return at + 8 + 4 + rs.message.size();
+}
+
+void Put64(std::string* bytes, size_t at, uint64_t v) { std::memcpy(&(*bytes)[at], &v, 8); }
+void Put32(std::string* bytes, size_t at, uint32_t v) { std::memcpy(&(*bytes)[at], &v, 4); }
+
+TEST(ResultSetCodecTest, ForgedCountsAreCorruptionWithoutAllocating) {
+  // A count that were believed would allocate far more than the machine
+  // has; Corruption (not bad_alloc) shows it was checked first.
+  ResultSet ints;
+  ints.SetColumns({{"id", ColumnType::kInt64}});
+  ints.rows.AppendInt64(0, 1);
+  std::string bytes;
+  ASSERT_TRUE(ints.Encode(&bytes).ok());
+  const size_t rows_at = RowCountOffset(ints);
+  for (uint64_t forged : {uint64_t{2}, uint64_t{1} << 40, ~uint64_t{0}}) {
+    std::string bad = bytes;
+    Put64(&bad, rows_at, forged);
+    EXPECT_TRUE(ResultSet::Decode(bad).status().IsCorruption()) << forged;
+  }
+  // A column block longer than the bytes left.
+  std::string bad = bytes;
+  Put64(&bad, rows_at + 8, uint64_t{1} << 50);
+  EXPECT_TRUE(ResultSet::Decode(bad).status().IsCorruption());
+
+  // A text length larger than the bytes left.
+  ResultSet text;
+  text.SetColumns({{"s", ColumnType::kText}});
+  text.rows.AppendText(0, "abc");
+  bytes.clear();
+  ASSERT_TRUE(text.Encode(&bytes).ok());
+  const size_t length_at = RowCountOffset(text) + 8 + 8 + 1;  // rows, block length, null flag
+  bad = bytes;
+  Put32(&bad, length_at, 0xFFFFFFF0u);
+  EXPECT_TRUE(ResultSet::Decode(bad).status().IsCorruption());
+  // Rows without columns.
+  ResultSet none;
+  bytes.clear();
+  ASSERT_TRUE(none.Encode(&bytes).ok());
+  Put64(&bytes, RowCountOffset(none), 5);
+  EXPECT_TRUE(ResultSet::Decode(bytes).status().IsCorruption());
+}
+
+TEST(ResultSetCodecTest, RandomGarbageNeverCrashes) {
+  // Byte soup, and valid encodings with random bytes overwritten: every
+  // outcome is a result or Corruption, never a crash (ASan is the real
+  // assertion) or an unbounded allocation.
+  uint64_t state = 0x2545F4914F6CDD1Dull;
+  auto next = [&state]() {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  std::string valid;
+  ASSERT_TRUE(MixedResult(true).Encode(&valid).ok());
+  for (int round = 0; round < 2000; ++round) {
+    std::string soup;
+    if (round % 2 == 0) {
+      const size_t n = next() % 96;
+      for (size_t i = 0; i < n; ++i) soup.push_back(static_cast<char>(next()));
+      if (round % 4 == 0 && soup.size() >= 5) {
+        std::memcpy(&soup[0], valid.data(), 5);  // get past tag and version
+      }
+    } else {
+      soup = valid;
+      for (int k = 0; k < 1 + static_cast<int>(next() % 4); ++k) {
+        soup[next() % soup.size()] = static_cast<char>(next());
+      }
+    }
+    auto decoded = ResultSet::Decode(soup);
+    if (!decoded.ok()) {
+      EXPECT_TRUE(decoded.status().IsCorruption()) << decoded.status().ToString();
+    } else {
+      std::string again;
+      EXPECT_TRUE(decoded->Encode(&again).ok());
+    }
+  }
 }
 
 }  // namespace

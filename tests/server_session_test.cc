@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -199,7 +200,91 @@ TEST_F(ServerSessionTest, ByteIdenticalFramesAcrossTransports) {
   EXPECT_EQ(*raw_exec_a, *raw_exec_b);
   EXPECT_GT(raw_exec_a->size(), rpc::kFrameHeaderBytes);
 
+  // An All Members reply of over a thousand ids, answered from an eager
+  // Hazy-MM view's published labels: identical bytes over both transports,
+  // and as a set the pinned epoch's members.
+  std::string entities = "INSERT INTO ent VALUES ";
+  for (int i = 0; i < 1500; ++i) {
+    if (i > 0) entities += ", ";
+    entities += "(" + std::to_string(i) + ", '" +
+                (i % 5 == 0 ? "beta gamma" : "alpha delta") + " w" +
+                std::to_string(i % 7) + "')";
+  }
+  for (const std::string& sql :
+       {std::string("CREATE TABLE ent (id INT PRIMARY KEY, t TEXT);"), entities,
+        std::string("CREATE TABLE lab (label TEXT);"),
+        std::string("INSERT INTO lab VALUES ('A'), ('B');"),
+        std::string("CREATE TABLE ex (id INT PRIMARY KEY, label TEXT);"),
+        std::string("CREATE CLASSIFICATION VIEW V KEY id ENTITIES FROM ent KEY id "
+                    "LABELS FROM lab LABEL label EXAMPLES FROM ex KEY id LABEL label "
+                    "FEATURE FUNCTION tf_bag_of_words USING SVM "
+                    "ARCHITECTURE HAZY_MM MODE EAGER;"),
+        std::string("INSERT INTO ex VALUES (1, 'A'), (2, 'A'), (3, 'A'), "
+                    "(0, 'B'), (5, 'B'), (10, 'B');")}) {
+    ASSERT_TRUE((*socket)->Query(sql).ok()) << sql;
+  }
+  const std::string members = "SELECT id FROM V WHERE class = 'A';";
+  auto raw_members_a = (*socket2)->RoundTripRaw(rpc::Opcode::kQuery, members);
+  auto raw_members_b = (*loop2)->RoundTripRaw(rpc::Opcode::kQuery, members);
+  ASSERT_TRUE(raw_members_a.ok());
+  ASSERT_TRUE(raw_members_b.ok());
+  EXPECT_EQ(*raw_members_a, *raw_members_b);
+
+  rpc::FrameView reply;
+  size_t frame_bytes = 0;
+  ASSERT_EQ(rpc::TryDecodeFrame(*raw_members_a, &reply, &frame_bytes, nullptr),
+            rpc::FrameDecode::kFrame);
+  ASSERT_EQ(reply.opcode, rpc::Opcode::kResult);
+  auto rs = sql::ResultSet::Decode(reply.payload);
+  ASSERT_TRUE(rs.ok()) << rs.status().ToString();
+  ASSERT_GE(rs->rows.size(), 1000u);
+  std::vector<int64_t> got;
+  for (size_t r = 0; r < rs->rows.size(); ++r) got.push_back(*rs->Int64At(r, 0));
+
+  auto view = db_->GetView("V");
+  ASSERT_TRUE(view.ok());
+  core::SnapshotPin pin = (*view)->PinSnapshot();
+  ASSERT_TRUE(pin);
+  auto sign = (*view)->LabelSign("A");
+  ASSERT_TRUE(sign.ok());
+  auto expected = pin->AllMembers(*sign);
+  ASSERT_TRUE(expected.ok());
+  std::sort(got.begin(), got.end());
+  std::sort(expected->begin(), expected->end());
+  EXPECT_EQ(got, *expected);
+
   server.Stop();
+}
+
+TEST_F(ServerSessionTest, HelloFromAnOlderProtocolIsRefused) {
+  // RESULT payloads changed in protocol 2; an older client is told so at
+  // HELLO instead of failing to decode its first reply.
+  Session session(/*id=*/1, db_.get());
+  for (uint32_t version : {rpc::kProtocolVersion - 1, rpc::kProtocolVersion + 1}) {
+    std::string payload;
+    rpc::EncodeHelloPayload(version, "old", &payload);
+    std::string frame;
+    rpc::EncodeFrame(rpc::Opcode::kHello, 7, payload, &frame);
+    rpc::FrameView view;
+    size_t frame_bytes = 0;
+    ASSERT_EQ(rpc::TryDecodeFrame(frame, &view, &frame_bytes, nullptr),
+              rpc::FrameDecode::kFrame);
+    bool close_after = false;
+    const std::string out = session.HandleFrame(view, &close_after);
+    rpc::FrameView reply;
+    ASSERT_EQ(rpc::TryDecodeFrame(out, &reply, &frame_bytes, nullptr),
+              rpc::FrameDecode::kFrame);
+    ASSERT_EQ(reply.opcode, rpc::Opcode::kError);
+    const Status status = rpc::DecodeErrorPayload(reply.payload);
+    EXPECT_TRUE(status.IsNotSupported()) << status.ToString();
+    EXPECT_NE(status.message().find("protocol " + std::to_string(version)),
+              std::string::npos)
+        << status.ToString();
+    EXPECT_NE(status.message().find("speaks " + std::to_string(rpc::kProtocolVersion)),
+              std::string::npos)
+        << status.ToString();
+  }
+  EXPECT_EQ(rpc::kProtocolVersion, 2u);
 }
 
 TEST_F(ServerSessionTest, BusyUnderFullAdmissionQueue) {

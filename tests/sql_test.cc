@@ -148,6 +148,11 @@ TEST(ParserTest, Update) {
   EXPECT_FALSE(Parse("UPDATE t SET a = 1").ok());  // WHERE is required
 }
 
+TEST(ParserTest, NegativeLimitRejected) {
+  EXPECT_TRUE(Parse("SELECT * FROM t LIMIT -1").status().IsInvalidArgument());
+  EXPECT_TRUE(Parse("SELECT * FROM t LIMIT 0").ok());
+}
+
 TEST(ParserTest, Errors) {
   EXPECT_FALSE(Parse("").ok());
   EXPECT_FALSE(Parse("FROB x").ok());
@@ -183,10 +188,10 @@ TEST_F(SqlEndToEndTest, TableDml) {
   EXPECT_EQ(rs.rows.size(), 2u);
   rs = MustExec("SELECT COUNT(*) FROM t");
   ASSERT_EQ(rs.rows.size(), 1u);
-  EXPECT_EQ(std::get<int64_t>(rs.rows[0][0]), 3);
+  EXPECT_EQ(rs.Int64At(0, 0).ValueOrDie(), 3);
   MustExec("DELETE FROM t WHERE id = 2");
   rs = MustExec("SELECT COUNT(*) FROM t");
-  EXPECT_EQ(std::get<int64_t>(rs.rows[0][0]), 2);
+  EXPECT_EQ(rs.Int64At(0, 0).ValueOrDie(), 2);
   rs = MustExec("SELECT * FROM t LIMIT 1");
   EXPECT_EQ(rs.rows.size(), 1u);
   EXPECT_EQ(rs.columns.size(), 3u);
@@ -233,7 +238,7 @@ TEST_F(SqlEndToEndTest, Example21EndToEnd) {
   // Single Entity read.
   auto rs = MustExec("SELECT class FROM Labeled_Papers WHERE id = 0");
   ASSERT_EQ(rs.rows.size(), 1u);
-  EXPECT_EQ(std::get<std::string>(rs.rows[0][0]), "DB");
+  EXPECT_EQ(rs.TextAt(0, 0).ValueOrDie(), "DB");
 
   // All Members.
   rs = MustExec("SELECT id FROM Labeled_Papers WHERE class = 'DB'");
@@ -242,7 +247,7 @@ TEST_F(SqlEndToEndTest, Example21EndToEnd) {
   // Count query (the Fig 4(B) experiment's query).
   rs = MustExec("SELECT COUNT(*) FROM Labeled_Papers WHERE class = 'OTHER'");
   ASSERT_EQ(rs.rows.size(), 1u);
-  EXPECT_EQ(std::get<int64_t>(rs.rows[0][0]), 5);
+  EXPECT_EQ(rs.Int64At(0, 0).ValueOrDie(), 5);
 
   // Full view scan.
   rs = MustExec("SELECT * FROM Labeled_Papers");
@@ -253,7 +258,7 @@ TEST_F(SqlEndToEndTest, Example21EndToEnd) {
   // Withdrawing an example retrains (footnote 2) and the view still works.
   MustExec("DELETE FROM Example_Papers WHERE id = 3");
   rs = MustExec("SELECT COUNT(*) FROM Labeled_Papers");
-  EXPECT_EQ(std::get<int64_t>(rs.rows[0][0]), 10);
+  EXPECT_EQ(rs.Int64At(0, 0).ValueOrDie(), 10);
 }
 
 TEST_F(SqlEndToEndTest, UpdateStatement) {
@@ -262,11 +267,11 @@ TEST_F(SqlEndToEndTest, UpdateStatement) {
   auto rs = MustExec("UPDATE t SET score = 9.5 WHERE score >= 2.0");
   EXPECT_NE(rs.message.find("2 rows updated"), std::string::npos);
   rs = MustExec("SELECT COUNT(*) FROM t WHERE score = 9.5");
-  EXPECT_EQ(std::get<int64_t>(rs.rows[0][0]), 2);
+  EXPECT_EQ(rs.Int64At(0, 0).ValueOrDie(), 2);
   // Values survive a rename too.
   MustExec("UPDATE t SET name = 'renamed' WHERE id = 1");
   rs = MustExec("SELECT name FROM t WHERE id = 1");
-  EXPECT_EQ(std::get<std::string>(rs.rows[0][0]), "renamed");
+  EXPECT_EQ(rs.TextAt(0, 0).ValueOrDie(), "renamed");
 }
 
 TEST_F(SqlEndToEndTest, UpdatingExampleLabelRetrains) {
@@ -288,15 +293,15 @@ TEST_F(SqlEndToEndTest, UpdatingExampleLabelRetrains) {
       "INSERT INTO X VALUES (0, 'DB'), (1, 'DB'), (2, 'DB'), "
       "(3, 'OTHER'), (4, 'OTHER'), (5, 'OTHER')");
   auto rs = MustExec("SELECT class FROM V WHERE id = 0");
-  EXPECT_EQ(std::get<std::string>(rs.rows[0][0]), "DB");
+  EXPECT_EQ(rs.TextAt(0, 0).ValueOrDie(), "DB");
 
   // The crowd changes its mind about every example: flip all labels.
   MustExec("UPDATE X SET label = 'OTHER' WHERE id <= 2");
   MustExec("UPDATE X SET label = 'DB' WHERE id >= 3");
   rs = MustExec("SELECT class FROM V WHERE id = 0");
-  EXPECT_EQ(std::get<std::string>(rs.rows[0][0]), "OTHER");
+  EXPECT_EQ(rs.TextAt(0, 0).ValueOrDie(), "OTHER");
   rs = MustExec("SELECT class FROM V WHERE id = 5");
-  EXPECT_EQ(std::get<std::string>(rs.rows[0][0]), "DB");
+  EXPECT_EQ(rs.TextAt(0, 0).ValueOrDie(), "DB");
 }
 
 TEST_F(SqlEndToEndTest, ViewQueryErrors) {
@@ -342,9 +347,9 @@ TEST_F(SqlEndToEndTest, MultiRowInsertBatchesViewMaintenance) {
   // The batch trained the view exactly like per-row inserts would have.
   rs = MustExec("SELECT class FROM V WHERE id = 1");
   ASSERT_EQ(rs.rows.size(), 1u);
-  EXPECT_EQ(std::get<std::string>(rs.rows[0][0]), "A");
+  EXPECT_EQ(rs.TextAt(0, 0).ValueOrDie(), "A");
   rs = MustExec("SELECT COUNT(*) FROM V WHERE class = 'B'");
-  EXPECT_EQ(std::get<int64_t>(rs.rows[0][0]), 2);
+  EXPECT_EQ(rs.Int64At(0, 0).ValueOrDie(), 2);
 
   // Single-row INSERTs stay on the per-example path.
   MustExec("INSERT INTO E VALUES (5, 'alpha epsilon')");
@@ -398,14 +403,144 @@ TEST_F(SqlEndToEndTest, CheckpointStatement) {
 }
 
 TEST_F(SqlEndToEndTest, ResultSetPrinting) {
-  MustExec("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)");
-  MustExec("INSERT INTO t VALUES (7, 'seven')");
-  auto rs = MustExec("SELECT * FROM t");
-  std::string printed = rs.ToString();
-  EXPECT_NE(printed.find("id | name"), std::string::npos);
-  EXPECT_NE(printed.find("7 | seven"), std::string::npos);
-  EXPECT_NE(printed.find("(1 row)"), std::string::npos);
+  // sql_shell prints ResultSet::ToString; its exact text is pinned here.
+  MustExec("CREATE TABLE g (id INT PRIMARY KEY, score REAL, name TEXT)");
+  auto ins = MustExec(
+      "INSERT INTO g VALUES (1, 1.5, 'one'), (2, NULL, 'two'), (3, 0.1, NULL), "
+      "(-4, 1e20, '')");
+  EXPECT_EQ(ins.ToString(), "4 rows inserted");
+  EXPECT_EQ(MustExec("SELECT * FROM g").ToString(),
+            "id | score | name\n"
+            "1 | 1.5 | one\n"
+            "2 | NULL | two\n"
+            "3 | 0.1 | NULL\n"
+            "-4 | 1e+20 | \n"
+            "(4 rows)");
+  EXPECT_EQ(MustExec("SELECT name FROM g WHERE id = 2").ToString(),
+            "name\ntwo\n(1 row)");
+
+  ResultSet hand;
+  hand.SetColumns({{"n", storage::ColumnType::kInt64},
+                   {"x", storage::ColumnType::kDouble},
+                   {"s", storage::ColumnType::kText}});
+  hand.rows.AppendInt64(0, 7);
+  hand.rows.AppendNull(1);
+  hand.rows.AppendText(2, "seven");
+  hand.rows.AppendNull(0);
+  hand.rows.AppendDouble(1, -0.25);
+  hand.rows.AppendNull(2);
+  hand.message = "done";
+  EXPECT_EQ(hand.ToString(), "n | x | s\n7 | NULL | seven\nNULL | -0.25 | NULL\n(2 rows)\ndone");
 }
+
+// LIMIT bounds a result's rows before anything is appended, on the table
+// path and on both view read paths: LIMIT 0 is empty, and COUNT(*) is one
+// row that the LIMIT can cut.
+class SqlLimitTest : public SqlEndToEndTest {
+ protected:
+  /// The Example 2.1 corpus and a view V over it, built with `architecture`.
+  void SetUpPapers(const std::string& architecture) {
+    MustExec("CREATE TABLE Papers (id INT PRIMARY KEY, title TEXT)");
+    MustExec("CREATE TABLE Area (label TEXT)");
+    MustExec("INSERT INTO Area VALUES ('DB'), ('OTHER')");
+    MustExec("CREATE TABLE Examples (id INT PRIMARY KEY, label TEXT)");
+    MustExec(
+        "INSERT INTO Papers VALUES "
+        "(0, 'query optimization in database systems'), "
+        "(1, 'transaction processing in databases'), "
+        "(2, 'database views and query rewriting'), "
+        "(3, 'sql storage engines and databases'), "
+        "(4, 'database index structures for queries'), "
+        "(5, 'protein folding in molecular biology'), "
+        "(6, 'genome sequencing of protein structures'), "
+        "(7, 'cell biology and protein pathways'), "
+        "(8, 'protein interactions in molecular cells'), "
+        "(9, 'evolution of protein families in biology')");
+    MustExec(std::string("CREATE CLASSIFICATION VIEW V KEY id "
+                         "ENTITIES FROM Papers KEY id LABELS FROM Area LABEL label "
+                         "EXAMPLES FROM Examples KEY id LABEL label "
+                         "FEATURE FUNCTION tf_bag_of_words USING SVM ") +
+             architecture);
+    MustExec(
+        "INSERT INTO Examples VALUES (0, 'DB'), (1, 'DB'), (2, 'DB'), "
+        "(5, 'OTHER'), (6, 'OTHER'), (7, 'OTHER')");
+  }
+
+  /// Runs `select` with LIMIT 0, 1 and past its size; returns the full result.
+  ResultSet ExpectLimits(const std::string& select) {
+    ResultSet full = MustExec(select);
+    const size_t n = full.rows.size();
+    EXPECT_GT(n, 0u) << select;
+    for (size_t limit : {size_t{0}, size_t{1}, n + 3}) {
+      const std::string sql = select + " LIMIT " + std::to_string(limit);
+      ResultSet rs = MustExec(sql);
+      EXPECT_EQ(rs.rows.size(), std::min(limit, n)) << sql;
+      EXPECT_EQ(rs.columns.size(), full.columns.size()) << sql;
+      std::string encoded;
+      EXPECT_TRUE(rs.Encode(&encoded).ok()) << sql;
+      // The rows kept are the full result's first rows.
+      for (size_t r = 0; r < rs.rows.size(); ++r) {
+        for (size_t c = 0; c < rs.columns.size(); ++c) {
+          EXPECT_TRUE(storage::ValueEquals(rs.rows.ValueAt(r, c),
+                                           full.rows.ValueAt(r, c)))
+              << sql << " cell " << r << "," << c;
+        }
+      }
+    }
+    return full;
+  }
+};
+
+TEST_F(SqlLimitTest, BaseTable) {
+  SetUpPapers("");
+  EXPECT_EQ(ExpectLimits("SELECT * FROM Papers").rows.size(), 10u);
+  EXPECT_EQ(ExpectLimits("SELECT id FROM Papers WHERE id > 4").rows.size(), 5u);
+  ResultSet count = ExpectLimits("SELECT COUNT(*) FROM Papers");
+  EXPECT_EQ(count.Int64At(0, 0).ValueOrDie(), 10);
+  EXPECT_EQ(MustExec("SELECT COUNT(*) FROM Papers LIMIT 1").Int64At(0, 0).ValueOrDie(), 10);
+}
+
+class SqlViewLimitTest : public SqlLimitTest,
+                         public ::testing::WithParamInterface<const char*> {};
+
+TEST_P(SqlViewLimitTest, View) {
+  SetUpPapers(GetParam());
+  ResultSet db = ExpectLimits("SELECT id FROM V WHERE class = 'DB'");
+  ResultSet other = ExpectLimits("SELECT id FROM V WHERE class = 'OTHER'");
+  EXPECT_EQ(db.rows.size() + other.rows.size(), 10u);
+  ResultSet star = ExpectLimits("SELECT * FROM V WHERE class = 'DB'");
+  ASSERT_EQ(star.rows.size(), db.rows.size());
+  for (size_t r = 0; r < star.rows.size(); ++r) {
+    EXPECT_EQ(star.TextAt(r, 1).ValueOrDie(), "DB");
+  }
+  EXPECT_EQ(ExpectLimits("SELECT * FROM V").rows.size(), 10u);
+  ExpectLimits("SELECT * FROM V WHERE id = 3");
+  // A key column projected twice: both copies carry every id.
+  ResultSet twice = ExpectLimits("SELECT id, class, id FROM V WHERE class = 'OTHER'");
+  for (size_t r = 0; r < twice.rows.size(); ++r) {
+    EXPECT_EQ(twice.Int64At(r, 0).ValueOrDie(), twice.Int64At(r, 2).ValueOrDie());
+    EXPECT_EQ(twice.Int64At(r, 0).ValueOrDie(), other.Int64At(r, 0).ValueOrDie());
+  }
+
+  for (const char* count_sql : {"SELECT COUNT(*) FROM V WHERE class = 'DB'",
+                                "SELECT COUNT(*) FROM V", "SELECT COUNT(*) FROM V WHERE id = 3"}) {
+    ResultSet count = ExpectLimits(count_sql);
+    ASSERT_EQ(count.rows.size(), 1u) << count_sql;
+  }
+  EXPECT_EQ(MustExec("SELECT COUNT(*) FROM V WHERE class = 'DB' LIMIT 1")
+                .Int64At(0, 0)
+                .ValueOrDie(),
+            static_cast<int64_t>(db.rows.size()));
+  EXPECT_EQ(MustExec("SELECT COUNT(*) FROM V LIMIT 1").Int64At(0, 0).ValueOrDie(), 10);
+}
+
+INSTANTIATE_TEST_SUITE_P(Architectures, SqlViewLimitTest,
+                         ::testing::Values("ARCHITECTURE HAZY_MM MODE EAGER",
+                                           "ARCHITECTURE HAZY_OD MODE LAZY"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return info.index == 0 ? std::string("HazyMMEager")
+                                                  : std::string("HazyODLazy");
+                         });
 
 }  // namespace
 }  // namespace hazy::sql
